@@ -13,12 +13,9 @@ from .bounds import (
 )
 from .cliques import (
     CliqueWitness,
-    IndependenceCertificate,
     PotentialClique,
     clique_gram_det,
     enumerate_potential_cliques,
-    gram_check,
-    independence_certificate,
     max_monochromatic_clique,
     potential_clique_bound,
     rank_count_bound,
@@ -34,7 +31,7 @@ from .coloring import (
     pair_identity,
     sample_binary_vectors,
 )
-from .compose import blowup_product, iterate_product
+from .compose import blowup_product
 from .errors import (
     CapacityError,
     DimensionError,
@@ -50,14 +47,12 @@ from .field import (
     is_isotropic,
     is_prime,
     rank,
-    sum_of_two_squares,
 )
 from .isotropic import (
     IsotropicSet,
     bernoulli_subset,
     enumerate_isotropic,
     sample_distinct,
-    sample_isotropic,
 )
 from .moment import (
     MomentReport,

@@ -186,9 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, jobs=False, csv=False):
-        sp.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        sp.add_argument("--cap", type=int, default=None, help="enumeration/search node cap")
+    def common(sp, out=False, cap=False, seed=False, jobs=False, csv=False):
+        # Each subcommand registers only the options it reads, so an
+        # ignored one is a usage error (exit 2) rather than a silent no-op.
+        if out:
+            sp.add_argument("--out", type=str, default=None, help="output file (default stdout)")
+        if cap:
+            sp.add_argument("--cap", type=int, default=None, help="enumeration/search node cap")
         if seed:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"PRNG seed (default {DEFAULT_SEED})")
@@ -200,32 +204,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="list the self-orthogonal vectors of F_q^t")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    common(sp)
+    common(sp, out=True, cap=True)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("construct", help="build the (q+1)-coloring on sampled vectors")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp, seed=True)
+    common(sp, out=True, cap=True, seed=True)
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("construct-two-color", help="two-coloring of sampled binary vectors")
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp, seed=True)
+    common(sp, out=True, seed=True)
     sp.set_defaults(func=_cmd_construct_two_color)
 
     sp = sub.add_parser("construct-paley", help="quadratic-residue two-coloring on F_p")
     sp.add_argument("--p", type=int, required=True)
-    common(sp)
+    common(sp, out=True)
     sp.set_defaults(func=_cmd_construct_paley)
 
     sp = sub.add_parser("verify", help="exact per-color max clique of a coloring file")
     sp.add_argument("--coloring", type=str, required=True)
     sp.add_argument("--target", type=int, required=True,
                     help="exit 1 when any color reaches a clique of this size")
-    common(sp, csv=True)
+    common(sp, cap=True, csv=True)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("certify", help="search for a witness coloring and emit a certificate")
@@ -233,18 +237,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--attempts", type=int, default=200)
-    common(sp, seed=True, jobs=True)
+    common(sp, out=True, cap=True, seed=True, jobs=True)
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("reverify", help="re-check a certificate from its stored fields")
     sp.add_argument("--cert", type=str, required=True)
-    common(sp)
     sp.set_defaults(func=_cmd_reverify)
 
     sp = sub.add_parser("compose", help="blow-up product of two coloring files")
     sp.add_argument("--a", type=str, required=True)
     sp.add_argument("--b", type=str, required=True)
-    common(sp)
+    common(sp, out=True)
     sp.set_defaults(func=_cmd_compose)
 
     sp = sub.add_parser("bounds", help="exact lower-bound table at (t, colors)")

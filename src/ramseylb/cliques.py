@@ -15,20 +15,10 @@ counting bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .coloring import EdgeColoring
-from .errors import DimensionError, ParameterError, ResourceCapError
-from .field import (
-    FieldVector,
-    PrimeModulus,
-    det_mod,
-    dot,
-    is_isotropic,
-    is_prime,
-    kernel_vector,
-    rank,
-)
+from .errors import ParameterError, ResourceCapError
+from .field import FieldVector, PrimeModulus, _eliminate, dot, is_prime, rank
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
@@ -206,59 +196,7 @@ def clique_gram_det(i: int, s: int, modulus: PrimeModulus) -> int:
     if s < 1:
         raise ParameterError("matrix size must be positive")
     mat = [[0 if r == c else i for c in range(s)] for r in range(s)]
-    return det_mod(mat, q)
-
-
-@dataclass(frozen=True)
-class IndependenceCertificate:
-    """Evidence that an i-clique's vectors are (nearly) linearly independent.
-
-    When the size is not 1 mod q the Gram determinant is nonzero and
-    the rank equals the size.  Otherwise the same argument applies after
-    dropping one vector (``dropped_vertex``), and a nonzero Gram-kernel
-    witness records why the full matrix is singular.
-    """
-
-    color: int
-    size: int
-    gram_det: int
-    rank: int
-    nullspace_witness: tuple[int, ...]
-    dropped_vertex: bool
-
-
-def independence_certificate(vectors: Sequence[FieldVector], i: int) -> IndependenceCertificate:
-    """Certify that pairwise product i (nonzero) forces independence."""
-    vs = list(vectors)
-    if not vs:
-        raise ParameterError("empty clique")
-    modulus = vs[0].modulus
-    q = modulus.q
-    if not 1 <= i <= q - 1:
-        raise ParameterError(f"color value {i} outside [1, {q - 1}]")
-    for v in vs:
-        if v.modulus != modulus or len(v) != len(vs[0]):
-            raise DimensionError("clique vectors differ in modulus or length")
-        if not is_isotropic(v):
-            raise ParameterError(f"clique vector is not self-orthogonal: {v.coords}")
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            d = dot(vs[a], vs[b])
-            if d != i:
-                raise ParameterError(f"pair ({a}, {b}) has product {d}, not {i}; not an i-clique")
-    s = len(vs)
-    det = clique_gram_det(i, s, modulus)
-    r = rank(vs)
-    dropped = s % q == 1
-    if dropped:
-        mat = [[0 if a == b else i for b in range(s)] for a in range(s)]
-        witness = kernel_vector(mat, q)
-        assert witness is not None and any(witness)
-        assert r >= s - 1
-    else:
-        witness = ()
-        assert det != 0 and r == s
-    return IndependenceCertificate(i, s, det, r, tuple(witness), dropped)
+    return _eliminate(mat, q)[1]
 
 
 @dataclass(frozen=True)
@@ -268,16 +206,6 @@ class PotentialClique:
     vectors: tuple[FieldVector, ...]
     rank: int
     gram: tuple[tuple[int, ...], ...]
-
-
-def gram_check(vectors: Sequence[FieldVector]) -> bool:
-    """True iff the full Gram matrix, diagonal included, vanishes."""
-    vs = list(vectors)
-    for a in range(len(vs)):
-        for b in range(a, len(vs)):
-            if dot(vs[a], vs[b]) != 0:
-                return False
-    return True
 
 
 def enumerate_potential_cliques(

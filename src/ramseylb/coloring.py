@@ -168,6 +168,12 @@ def edge_color(u: FieldVector, v: FieldVector, seed: int) -> int:
         raise ParameterError("edge endpoints must differ")
     if not (is_isotropic(u) and is_isotropic(v)):
         raise ParameterError("edge endpoints must be self-orthogonal")
+    return _pair_color(u, v, seed)
+
+
+def _pair_color(u: FieldVector, v: FieldVector, seed: int) -> int:
+    """edge_color without its endpoint checks, for vectors already known
+    to be distinct and self-orthogonal."""
     d = dot(u, v)
     if d != 0:
         return d
@@ -195,7 +201,7 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
             raise ParameterError(f"duplicate vertex: {v.coords}")
         seen.add(v.coords)
     rows = tuple(
-        tuple(edge_color(verts[i], verts[j], params.seed) for j in range(i + 1, len(verts)))
+        tuple(_pair_color(verts[i], verts[j], params.seed) for j in range(i + 1, len(verts)))
         for i in range(len(verts) - 1)
     )
     prov = (f"field-coloring q={q} t={params.t} n={params.n} seed={params.seed}",)

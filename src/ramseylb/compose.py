@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Sequence
-
 from .coloring import EdgeColoring
-from .errors import ParameterError
 
 
 def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
@@ -33,11 +29,3 @@ def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
         f"inner(n={n2} colors={inner.num_colors})"
     )
     return EdgeColoring(n, outer.num_colors + inner.num_colors, tuple(rows), (note,))
-
-
-def iterate_product(colorings: Sequence[EdgeColoring]) -> EdgeColoring:
-    """Left fold of blowup_product over a non-empty sequence."""
-    items = list(colorings)
-    if not items:
-        raise ParameterError("iterate_product needs at least one coloring")
-    return reduce(blowup_product, items)

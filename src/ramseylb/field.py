@@ -1,17 +1,15 @@
 """Arithmetic over prime fields F_q: vectors, dot products, elimination.
 
 Field elements are canonical integers in [0, q); every operation reduces
-eagerly so equality and text serialization are bit-exact.  Dense linear
-algebra runs by Gaussian elimination on small numpy integer matrices.
+eagerly so equality and text serialization are bit-exact.  Rank and
+determinant come from one forward elimination on Python integers, which
+stays exact for every prime modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
 
@@ -61,17 +59,6 @@ class FieldVector:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __add__(self, other: "FieldVector") -> "FieldVector":
-        _check_compatible(self, other)
-        q = self.q
-        return FieldVector(
-            self.modulus, tuple((a + b) % q for a, b in zip(self.coords, other.coords))
-        )
-
-    def scaled(self, c: int) -> "FieldVector":
-        q = self.q
-        return FieldVector(self.modulus, tuple(c * a % q for a in self.coords))
-
     def text_form(self) -> str:
         """``q t c1 ... ct``, the serialization used inside file formats."""
         return f"{self.q} {len(self.coords)} " + " ".join(str(c) for c in self.coords)
@@ -111,35 +98,36 @@ def is_isotropic(v: FieldVector) -> bool:
     return dot(v, v) == 0
 
 
-def row_echelon(mat: np.ndarray | Sequence[Sequence[int]], q: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_q.
+def _eliminate(rows: Sequence[Sequence[int]], q: int) -> tuple[int, int | None]:
+    """Forward elimination over F_q with row swaps, on Python ints.
 
-    Returns the reduced matrix together with the pivot column indices;
-    the number of pivots is the rank.
+    Returns the rank and, for a square matrix, the determinant (None
+    otherwise).  Python ints never overflow, so any prime q is exact.
     """
-    m = np.array(mat, dtype=np.int64) % q
-    n_rows, n_cols = m.shape
-    pivots: list[int] = []
+    m = [[x % q for x in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
+    det = 1
     r = 0
     for c in range(n_cols):
-        sel = -1
-        for rr in range(r, n_rows):
-            if m[rr, c]:
-                sel = rr
-                break
-        if sel < 0:
+        sel = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if sel is None:
+            det = 0
             continue
         if sel != r:
-            m[[r, sel]] = m[[sel, r]]
-        m[r] = m[r] * pow(int(m[r, c]), q - 2, q) % q
-        for rr in range(n_rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % q
-        pivots.append(c)
+            m[r], m[sel] = m[sel], m[r]
+            det = -det
+        piv = m[r][c]
+        det = det * piv % q
+        inv = pow(piv, q - 2, q)
+        for i in range(r + 1, n_rows):
+            if m[i][c]:
+                f = m[i][c] * inv % q
+                m[i] = [(a - f * b) % q for a, b in zip(m[i], m[r])]
         r += 1
         if r == n_rows:
             break
-    return m, pivots
+    return r, (det % q if n_rows == n_cols else None)
 
 
 def rank(vectors: Sequence[FieldVector]) -> int:
@@ -150,79 +138,4 @@ def rank(vectors: Sequence[FieldVector]) -> int:
     first = vs[0]
     for v in vs[1:]:
         _check_compatible(first, v)
-    mat = np.array([v.coords for v in vs], dtype=np.int64)
-    _, pivots = row_echelon(mat, first.q)
-    return len(pivots)
-
-
-def det_mod(mat: np.ndarray | Sequence[Sequence[int]], q: int) -> int:
-    """Determinant over F_q by forward elimination with row swaps."""
-    m = np.array(mat, dtype=np.int64) % q
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError("determinant needs a square matrix")
-    n = m.shape[0]
-    det = 1
-    for c in range(n):
-        sel = -1
-        for r in range(c, n):
-            if m[r, c]:
-                sel = r
-                break
-        if sel < 0:
-            return 0
-        if sel != c:
-            m[[c, sel]] = m[[sel, c]]
-            det = -det
-        piv = int(m[c, c])
-        det = det * piv % q
-        inv = pow(piv, q - 2, q)
-        for r in range(c + 1, n):
-            if m[r, c]:
-                f = int(m[r, c]) * inv % q
-                m[r] = (m[r] - f * m[c]) % q
-    return det % q
-
-
-def kernel_vector(mat: np.ndarray | Sequence[Sequence[int]], q: int) -> tuple[int, ...] | None:
-    """A nonzero kernel vector over F_q, or None if the matrix is injective.
-
-    Canonical choice: the lowest free column is set to 1, all other free
-    columns to 0.
-    """
-    m = np.array(mat, dtype=np.int64) % q
-    n_cols = m.shape[1]
-    rref, pivots = row_echelon(m, q)
-    free = [c for c in range(n_cols) if c not in pivots]
-    if not free:
-        return None
-    f = free[0]
-    x = [0] * n_cols
-    x[f] = 1
-    for row_i, pc in enumerate(pivots):
-        x[pc] = int(-rref[row_i, f]) % q
-    return tuple(x)
-
-
-@lru_cache(maxsize=None)
-def _smallest_sqrt(q: int) -> dict[int, int]:
-    # descending y so the smallest square root wins
-    table: dict[int, int] = {}
-    for y in range(q - 1, -1, -1):
-        table[y * y % q] = y
-    return table
-
-
-def sum_of_two_squares(a: int, modulus: PrimeModulus) -> tuple[int, int]:
-    """Lexicographically smallest (x, y) with x^2 + y^2 = a in F_q.
-
-    A solution exists for every residue a when q is prime.
-    """
-    q = modulus.q
-    if not 0 <= a < q:
-        raise ParameterError(f"element {a} outside [0, {q})")
-    table = _smallest_sqrt(q)
-    for x in range(q):
-        y = table.get((a - x * x) % q)
-        if y is not None:
-            return (x, y)
-    raise AssertionError("unreachable: every residue is a sum of two squares")
+    return _eliminate([v.coords for v in vs], first.q)[0]

@@ -63,17 +63,6 @@ def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_C
     return IsotropicSet(modulus, t, tuple(vectors), exhaustive=True)
 
 
-def sample_isotropic(modulus: PrimeModulus, t: int, rng: Random) -> FieldVector:
-    """Uniform member of the ground set, by rejection sampling."""
-    q = modulus.q
-    if t < 1:
-        raise ParameterError("dimension t must be positive")
-    while True:
-        coords = tuple(rng.randrange(q) for _ in range(t))
-        if sum(c * c for c in coords) % q == 0:
-            return FieldVector(modulus, coords)
-
-
 def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVector]:
     """Uniformly random n-subset of the ground set, in sampling order."""
     if n < 0:

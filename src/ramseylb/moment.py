@@ -30,7 +30,7 @@ from .cliques import (
 )
 from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
-from .field import FieldVector, PrimeModulus
+from .field import FieldVector, PrimeModulus, dot
 from .isotropic import (
     DEFAULT_ENUM_CAP,
     IsotropicSet,
@@ -117,8 +117,6 @@ def exact_mono_expectation(
             mask |= 1 << i
         clique_masks.append(mask)
         clique_pairs.append([(a, b) for pos, a in enumerate(ids) for b in ids[pos + 1 :]])
-    from .field import dot  # local import keeps module header lean
-
     opairs = [
         (a, b)
         for a in range(m)
@@ -341,14 +339,6 @@ def _run_attempt(
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col.to_text(), sizes, "pass")
 
 
-def _attempt_worker(q, t, coords, n, seed, attempt, node_cap):
-    modulus = PrimeModulus(q)
-    ground = IsotropicSet(
-        modulus, t, tuple(FieldVector(modulus, c) for c in coords), exhaustive=True
-    )
-    return _run_attempt(q, t, ground, n, seed, attempt, node_cap)
-
-
 def _pooled_attempts(q, t, ground, n, seed, max_attempts, jobs, node_cap):
     """Attempt outcomes in index order, run jobs at a time in worker processes.
 
@@ -356,12 +346,11 @@ def _pooled_attempts(q, t, ground, n, seed, max_attempts, jobs, node_cap):
     success, so an error in a later attempt of the same wave is dropped,
     as a sequential run would never have made that attempt.
     """
-    coords = tuple(v.coords for v in ground.vectors)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for wave_start in range(1, max_attempts + 1, jobs):
             wave = range(wave_start, min(wave_start + jobs, max_attempts + 1))
             futures = [
-                pool.submit(_attempt_worker, q, t, coords, n, seed, k, node_cap) for k in wave
+                pool.submit(_run_attempt, q, t, ground, n, seed, k, node_cap) for k in wave
             ]
             for fut in futures:
                 yield fut.result()

@@ -116,6 +116,25 @@ def test_resource_cap_exit_code(capsys):
     assert run("enumerate", "--q", "2", "--t", "30", "--cap", "1000") == 3
 
 
+def test_unread_options_are_rejected(tmp_path, capsys):
+    out = tmp_path / "f"
+    assert run("bounds", "--t", "16", "--colors", "4", "--out", str(out)) == 2
+    assert not out.exists()
+    # every other subcommand/option pair that the command would ignore
+    for argv in [
+        ("verify", "--coloring", "c.txt", "--target", "3", "--out", str(out)),
+        ("reverify", "--cert", "w.cert", "--out", str(out)),
+        ("construct-two-color", "--t", "3", "--n", "10", "--cap", "5"),
+        ("construct-paley", "--p", "5", "--cap", "5"),
+        ("reverify", "--cert", "w.cert", "--cap", "5"),
+        ("compose", "--a", "a.txt", "--b", "b.txt", "--cap", "5"),
+        ("bounds", "--t", "16", "--colors", "4", "--cap", "5"),
+    ]:
+        assert run(*argv) == 2, argv
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_file_exit_code(capsys):
     assert run("verify", "--coloring", "/nonexistent/file", "--target", "3") == 2
 

@@ -6,8 +6,6 @@ import pytest
 from ramseylb.cliques import (
     clique_gram_det,
     enumerate_potential_cliques,
-    gram_check,
-    independence_certificate,
     max_monochromatic_clique,
     monochromatic_cliques,
     potential_clique_bound,
@@ -15,7 +13,7 @@ from ramseylb.cliques import (
 )
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.errors import ParameterError, ResourceCapError
-from ramseylb.field import FieldVector, PrimeModulus, dot, rank
+from ramseylb.field import PrimeModulus, dot, rank
 from ramseylb.isotropic import enumerate_isotropic
 
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
@@ -135,64 +133,6 @@ def test_gram_det_rejects_zero_color():
 
 
 # ---------------------------------------------------------------------------
-# independence certificates
-# ---------------------------------------------------------------------------
-
-def find_product_cliques(ground, i, size):
-    """All subsets of the ground set of the given size with pairwise product i."""
-    vecs = ground.vectors
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            return
-        for k in range(start, len(vecs)):
-            if all(dot(vecs[k], c) == i for c in chosen):
-                chosen.append(vecs[k])
-                rec(k + 1, chosen)
-                chosen.pop()
-
-    rec(0, [])
-    return out
-
-
-def test_certificate_on_real_cliques_q3():
-    ground = enumerate_isotropic(M3, 4)
-    for i in (1, 2):
-        triples = find_product_cliques(ground, i, 3)
-        assert triples
-        cert = independence_certificate(triples[0], i)
-        assert cert.size == 3
-        assert cert.rank == 3  # 3 != 1 mod 3
-        assert cert.gram_det != 0
-        assert not cert.dropped_vertex
-        assert cert.nullspace_witness == ()
-
-
-def test_certificate_dropped_vertex_case():
-    # q=2: three vectors pairwise product 1; 3 = 1 mod 2 so one vector drops
-    vs = [FieldVector(M2, c) for c in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
-    cert = independence_certificate(vs, 1)
-    assert cert.dropped_vertex
-    assert cert.gram_det == 0
-    assert cert.rank == 2  # = s - 1
-    w = cert.nullspace_witness
-    assert w == (1, 1, 1)  # the all-ones direction solves the singular system
-
-
-def test_certificate_rejects_non_clique():
-    vs = list(enumerate_isotropic(M3, 4).vectors[:3])
-    with pytest.raises(ParameterError):
-        independence_certificate(vs, 1)
-
-
-def test_certificate_rejects_anisotropic_vector():
-    with pytest.raises(ParameterError):
-        independence_certificate([FieldVector(M3, (1, 0, 0, 0))], 1)
-
-
-# ---------------------------------------------------------------------------
 # potential cliques
 # ---------------------------------------------------------------------------
 
@@ -232,7 +172,6 @@ def test_potential_clique_structure():
     ground = enumerate_isotropic(M3, 4)
     for c in enumerate_potential_cliques(ground, 4):
         assert c.rank <= 2
-        assert gram_check(c.vectors)
         assert all(all(x == 0 for x in row) for row in c.gram)
         assert rank(c.vectors) == c.rank
 
@@ -248,11 +187,6 @@ def test_potential_cliques_node_cap():
     ground = enumerate_isotropic(M3, 4)
     with pytest.raises(ResourceCapError):
         enumerate_potential_cliques(ground, 4, cap=5)
-
-
-def test_gram_check_detects_nonzero():
-    vs = enumerate_isotropic(M3, 4).vectors
-    assert not gram_check([vs[1], vs[2], FieldVector(M3, (1, 0, 0, 0))])
 
 
 # ---------------------------------------------------------------------------

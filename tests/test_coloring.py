@@ -13,7 +13,7 @@ from ramseylb.coloring import (
     pair_identity,
     sample_binary_vectors,
 )
-from ramseylb.errors import CapacityError, FormatError, ParameterError
+from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError
 from ramseylb.field import FieldVector, PrimeModulus, dot
 from ramseylb.isotropic import enumerate_isotropic
 
@@ -115,6 +115,11 @@ def test_field_coloring_input_validation():
         build_field_coloring(params, vs[:4])
     with pytest.raises(ParameterError):
         build_field_coloring(params, vs[:4] + [vs[0]])
+    # the per-vertex checks here are the only ones the pair loop relies on
+    with pytest.raises(ParameterError):
+        build_field_coloring(params, vs[:4] + [fv(M3, 1, 0, 0, 0)])
+    with pytest.raises(DimensionError):
+        build_field_coloring(params, vs[:4] + [fv(M3, 0, 0, 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,8 @@
 import random
 
-import pytest
-
 from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, build_paley
-from ramseylb.compose import blowup_product, iterate_product
-from ramseylb.errors import ParameterError
+from ramseylb.compose import blowup_product
 
 
 def single_color_complete(n, color=1, num_colors=1):
@@ -83,20 +80,6 @@ def test_associativity_up_to_relabeling():
         max_monochromatic_clique(right, col).size for col in range(1, right.num_colors + 1)
     )
     assert sizes_left == sizes_right
-
-
-def test_iterate_product_folds_left():
-    c5 = build_paley(5)
-    k2 = single_color_complete(2)
-    manual = blowup_product(blowup_product(c5, k2), c5)
-    folded = iterate_product([c5, k2, c5])
-    assert folded == manual
-    assert folded.n == 50
-
-
-def test_iterate_product_rejects_empty():
-    with pytest.raises(ParameterError):
-        iterate_product([])
 
 
 def test_mono_freedom_is_preserved():

@@ -1,19 +1,21 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF, Matrix
+from sympy.polys.matrices import DomainMatrix
 
 from ramseylb.errors import DimensionError, ParameterError
 from ramseylb.field import (
     FieldVector,
     PrimeModulus,
-    det_mod,
+    _eliminate,
     dot,
     is_isotropic,
     is_prime,
-    kernel_vector,
     rank,
-    row_echelon,
-    sum_of_two_squares,
 )
 
 M2, M3, M5, M7 = (PrimeModulus(q) for q in (2, 3, 5, 7))
@@ -90,7 +92,8 @@ def test_dot_symmetric_and_bilinear(data):
     v = FieldVector(modulus, data.draw(coords))
     w = FieldVector(modulus, data.draw(coords))
     assert dot(u, v) == dot(v, u)
-    assert dot(u + w, v) == (dot(u, v) + dot(w, v)) % q
+    u_plus_w = FieldVector(modulus, tuple(a + b for a, b in zip(u.coords, w.coords)))
+    assert dot(u_plus_w, v) == (dot(u, v) + dot(w, v)) % q
 
 
 def test_is_isotropic_examples():
@@ -105,15 +108,13 @@ def test_is_isotropic_examples():
 
 def span_size(vectors):
     """Oracle: |span| = q^rank, by enumerating all linear combinations."""
-    import itertools
-
     q = vectors[0].q
     seen = set()
     for coeffs in itertools.product(range(q), repeat=len(vectors)):
-        acc = vectors[0].scaled(coeffs[0])
+        acc = tuple(coeffs[0] * a % q for a in vectors[0].coords)
         for c, v in zip(coeffs[1:], vectors[1:]):
-            acc = acc + v.scaled(c)
-        seen.add(acc.coords)
+            acc = tuple((a + c * b) % q for a, b in zip(acc, v.coords))
+        seen.add(acc)
     size = len(seen)
     r = 0
     while q**r < size:
@@ -137,8 +138,6 @@ def test_rank_matches_span_oracle():
 
 
 def test_rank_invariant_under_permutation_and_scaling():
-    import random
-
     rng = random.Random(5)
     for q in (2, 3, 5):
         modulus = PrimeModulus(q)
@@ -151,7 +150,10 @@ def test_rank_invariant_under_permutation_and_scaling():
             shuffled = vs[:]
             rng.shuffle(shuffled)
             assert rank(shuffled) == r
-            scaled = [v.scaled(rng.randrange(1, q)) for v in vs]
+            scaled = []
+            for v in vs:
+                c = rng.randrange(1, q)
+                scaled.append(FieldVector(modulus, tuple(c * a % q for a in v.coords)))
             assert rank(scaled) == r
 
 
@@ -161,71 +163,33 @@ def test_rank_mixed_dimensions_error():
 
 
 # ---------------------------------------------------------------------------
-# elimination helpers
+# elimination, against sympy
 # ---------------------------------------------------------------------------
 
-def test_det_mod_hand_values():
-    assert det_mod([[1, 2], [3, 4]], 5) == 3  # det -2
-    assert det_mod([[2]], 7) == 2
-    assert det_mod([[1, 1], [1, 1]], 3) == 0
+# Small primes, plus one on each side of q^2 = 2^63: above it, products
+# of two entries overflow a 64-bit integer type.
+ORACLE_PRIMES = (2, 3, 5, 7, 2147483659, 4294967311)
 
 
-def test_det_mod_requires_square():
-    with pytest.raises(DimensionError):
-        det_mod([[1, 2, 3], [4, 5, 6]], 7)
-
-
-def test_kernel_vector_is_in_kernel():
-    mat = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]  # row 2 = 2 * row 1 mod 5
-    k = kernel_vector(mat, 5)
-    assert k is not None and any(k)
-    for row in mat:
-        assert sum(a * b for a, b in zip(row, k)) % 5 == 0
-
-
-def test_kernel_vector_none_for_full_column_rank():
-    assert kernel_vector([[1, 0], [0, 1], [1, 1]], 3) is None
-
-
-def test_row_echelon_pivot_count_matches_rank():
-    mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    _, pivots = row_echelon(mat, 7)
-    assert len(pivots) == 2
-
-
-# ---------------------------------------------------------------------------
-# sum of two squares
-# ---------------------------------------------------------------------------
-
-def test_sum_of_two_squares_examples():
-    assert sum_of_two_squares(0, M5) == (0, 0)
-    assert sum_of_two_squares(2, M3) == (1, 1)
-    assert sum_of_two_squares(3, M7) == (1, 3)  # 1 + 9 = 10 = 3 mod 7
-
-
-def test_sum_of_two_squares_all_primes_to_100():
-    for q in range(2, 101):
-        if not is_prime(q):
-            continue
-        modulus = PrimeModulus(q)
-        for a in range(q):
-            x, y = sum_of_two_squares(a, modulus)
-            assert (x * x + y * y) % q == a
-
-
-def test_sum_of_two_squares_lexicographic_minimality():
-    # brute-force oracle over all pairs for small primes
-    for q in (2, 3, 5, 7, 11, 13):
-        modulus = PrimeModulus(q)
-        for a in range(q):
-            best = min(
-                (x, y) for x in range(q) for y in range(q) if (x * x + y * y) % q == a
-            )
-            assert sum_of_two_squares(a, modulus) == best
-
-
-def test_sum_of_two_squares_domain_check():
-    with pytest.raises(ParameterError):
-        sum_of_two_squares(3, M3)
-    with pytest.raises(ParameterError):
-        sum_of_two_squares(-1, M3)
+@pytest.mark.parametrize("q", ORACLE_PRIMES)
+def test_elimination_matches_sympy(q):
+    rng = random.Random(q)
+    for trial in range(60):
+        n_rows, n_cols = rng.randrange(1, 6), rng.randrange(1, 6)
+        if trial % 2:
+            n_cols = n_rows
+        # low-rank products as well as random matrices, so rank and
+        # determinant both see their degenerate cases
+        if trial % 3 == 0:
+            k = rng.randrange(1, min(n_rows, n_cols) + 1)
+            left = [[rng.randrange(q) for _ in range(k)] for _ in range(n_rows)]
+            right = [[rng.randrange(q) for _ in range(n_cols)] for _ in range(k)]
+            mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        else:
+            mat = [[rng.randrange(q) for _ in range(n_cols)] for _ in range(n_rows)]
+        r, det = _eliminate(mat, q)
+        assert r == DomainMatrix.from_list(mat, GF(q)).rank()
+        if n_rows == n_cols:
+            assert det == Matrix(mat).det() % q
+        else:
+            assert det is None

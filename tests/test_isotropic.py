@@ -9,7 +9,6 @@ from ramseylb.isotropic import (
     bernoulli_subset,
     enumerate_isotropic,
     sample_distinct,
-    sample_isotropic,
 )
 from ramseylb.rng import make_rng
 
@@ -75,28 +74,6 @@ def test_isotropic_set_validation():
     v = FieldVector(M3, (0, 0, 0, 0))
     with pytest.raises(ParameterError):
         IsotropicSet(M3, 4, (v, v), exhaustive=False)
-
-
-def test_sample_isotropic_membership_and_determinism():
-    for _ in range(3):
-        a = [sample_isotropic(M3, 4, make_rng(77)) for _ in range(50)]
-        b = [sample_isotropic(M3, 4, make_rng(77)) for _ in range(50)]
-        assert a == b
-    assert all(is_isotropic(v) for v in a)
-
-
-def test_sample_isotropic_uniform_frequencies():
-    # q=2, t=3: four members; 10^5 draws; within 5 standard errors of 1/4
-    draws = 100_000
-    rng = make_rng(123456)
-    counts = {}
-    for _ in range(draws):
-        v = sample_isotropic(M2, 3, rng)
-        counts[v.coords] = counts.get(v.coords, 0) + 1
-    assert set(counts) == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
-    se = math.sqrt(0.25 * 0.75 / draws)
-    for c in counts.values():
-        assert abs(c / draws - 0.25) <= 5 * se
 
 
 def test_sample_distinct_properties():

@@ -279,6 +279,9 @@ def test_reverify_rejects_header_and_vector_tampering(fixture_certificate):
     parts[-1] = str((int(parts[-1]) + 1) % 3)
     lines[vec_line] = " ".join(parts) + "\n"
     tampered.append("".join(lines))
+    # replace the first stored vector by one that is not self-orthogonal
+    lines[vec_line] = "3 4 1 0 0 0\n"
+    tampered.append("".join(lines))
     for bad in tampered:
         assert not reverify_text(bad)
 
