@@ -171,6 +171,24 @@ def test_rank_mixed_dimensions_error():
 ORACLE_PRIMES = (2, 3, 5, 7, 2147483659, 4294967311)
 
 
+def test_det_mod_hand_values():
+    assert _eliminate([[1, 2], [3, 4]], 5)[1] == 3  # det -2
+    assert _eliminate([[2]], 7)[1] == 2
+    assert _eliminate([[1, 1], [1, 1]], 3)[1] == 0
+
+
+def test_det_mod_requires_square():
+    # a non-square matrix has a rank but no determinant
+    assert _eliminate([[1, 2, 3], [4, 5, 6]], 7) == (2, None)
+    assert _eliminate([[1, 2], [3, 4], [5, 6]], 7) == (2, None)
+
+
+def test_row_echelon_pivot_count_matches_rank():
+    mat = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    assert _eliminate(mat, 7)[0] == 2
+    assert rank([fv(M7, *row) for row in mat]) == 2
+
+
 @pytest.mark.parametrize("q", ORACLE_PRIMES)
 def test_elimination_matches_sympy(q):
     rng = random.Random(q)
