@@ -27,7 +27,6 @@ from .coloring import (
     build_paley,
     build_two_color,
     dot_two_coloring,
-    edge_color,
     pair_identity,
     sample_binary_vectors,
 )

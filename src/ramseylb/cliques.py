@@ -7,6 +7,13 @@ bound cannot beat the incumbent are cut.  No heuristic shortcuts: the
 returned witness is a true maximum clique, and a node cap turns runaway
 searches into an explicit error rather than a silent truncation.
 
+The coloring builds one class at a time on bitsets, as in BBMC (San
+Segundo et al. 2011): class k is a greedy pass in ascending index over
+the still-uncolored candidates.  This yields the same classes as MCQ's
+first-fit coloring vertex by vertex (Tomita and Seki 2003), so the
+bounds, the branching order, the node count and the returned witness
+are those of first-fit; only the cost per node is lower.
+
 The certificates tie cliques back to linear algebra: determinants of
 i-clique Gram matrices, ranks of potential cliques, and the per-rank
 counting bounds.
@@ -64,42 +71,58 @@ def _max_clique_mask(adj: list[int], cap: int) -> int:
     best_mask = 0
     visited = 0
 
+    # Complemented adjacency, indexed by a vertex's bit_length (v + 1).
+    non_adj = [0] + [~a for a in adj]
+
     def expand(size: int, mask: int, cand: int) -> None:
         nonlocal best_size, best_mask, visited
         visited += 1
         if visited > cap:
             raise ResourceCapError(f"clique search exceeded {cap} nodes")
-        # Greedy coloring of the candidates, ascending vertex index; a
-        # vertex in class c cannot sit in a clique of more than c
-        # candidates, which gives the pruning bound below.
+        # Greedy coloring of the candidates, one class at a time: class k
+        # takes, in ascending index, each still-uncolored candidate with
+        # no neighbour already in class k.  These are exactly the classes
+        # of first-fit coloring in ascending index.  A vertex in class k
+        # cannot sit in a clique of more than k candidates, which gives
+        # the pruning bound below; classes k <= best_size - size could
+        # never be branched on, so they are not recorded.
+        floor = max(best_size - size, 0)
         classes: list[int] = []
-        seq: list[tuple[int, int]] = []
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            for ci in range(len(classes)):
-                if not adj[v] & classes[ci]:
-                    classes[ci] |= low
-                    seq.append((v, ci + 1))
-                    break
-            else:
-                classes.append(low)
-                seq.append((v, len(classes)))
-        seq.sort(key=lambda vc: vc[1])
+        uncolored = cand
+        k = 0
+        while uncolored:
+            k += 1
+            members = 0
+            m = uncolored
+            while m:
+                low = m & -m
+                members |= low
+                m &= non_adj[low.bit_length()]
+                m ^= low
+            uncolored ^= members
+            if k > floor:
+                classes.append(members)
+        # Branch from the highest class down, and within a class from the
+        # highest index down.  First-fit's (vertex, class) list, sorted
+        # stably by class and read backwards, gives the same order, so
+        # the search tree is first-fit's.
         remaining = cand
-        for v, bound in reversed(seq):
-            if size + bound <= best_size:
-                return
-            vbit = 1 << v
-            new_cand = remaining & adj[v]
-            if new_cand:
-                expand(size + 1, mask | vbit, new_cand)
-            elif size + 1 > best_size:
-                best_size = size + 1
-                best_mask = mask | vbit
-            remaining &= ~vbit
+        bound = k
+        for members in reversed(classes):
+            while members:
+                if size + bound <= best_size:
+                    return
+                v = members.bit_length() - 1
+                vbit = 1 << v
+                members ^= vbit
+                new_cand = remaining & adj[v]
+                if new_cand:
+                    expand(size + 1, mask | vbit, new_cand)
+                elif size + 1 > best_size:
+                    best_size = size + 1
+                    best_mask = mask | vbit
+                remaining ^= vbit
+            bound -= 1
 
     expand(0, 0, (1 << n) - 1)
     return best_mask

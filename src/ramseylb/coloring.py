@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, DimensionError, FormatError, ParameterError
-from .field import FieldVector, PrimeModulus, dot, is_isotropic, is_prime
+from .field import FieldVector, PrimeModulus, is_isotropic, is_prime
 from .rng import derive_seed, make_rng, pair_coin
 
 FORMAT_MAGIC = "ramsey-coloring 1"
@@ -157,29 +158,6 @@ def pair_identity(u: FieldVector, v: FieldVector) -> str:
     return a.text_form() + "|" + b.text_form()
 
 
-def edge_color(u: FieldVector, v: FieldVector, seed: int) -> int:
-    """Color of the pair {u, v}.
-
-    The scalar product when it is nonzero; otherwise q plus a coin
-    keyed by (seed, pair identity), so the choice between the two coin
-    colors is independent per pair yet reproducible.
-    """
-    if u == v:
-        raise ParameterError("edge endpoints must differ")
-    if not (is_isotropic(u) and is_isotropic(v)):
-        raise ParameterError("edge endpoints must be self-orthogonal")
-    return _pair_color(u, v, seed)
-
-
-def _pair_color(u: FieldVector, v: FieldVector, seed: int) -> int:
-    """edge_color without its endpoint checks, for vectors already known
-    to be distinct and self-orthogonal."""
-    d = dot(u, v)
-    if d != 0:
-        return d
-    return u.q + pair_coin(seed, pair_identity(u, v))
-
-
 def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVector]) -> EdgeColoring:
     """The (q+1)-coloring on the given distinct self-orthogonal vectors.
 
@@ -200,12 +178,29 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
         if v.coords in seen:
             raise ParameterError(f"duplicate vertex: {v.coords}")
         seen.add(v.coords)
-    rows = tuple(
-        tuple(_pair_color(verts[i], verts[j], params.seed) for j in range(i + 1, len(verts)))
-        for i in range(len(verts) - 1)
-    )
+    # The pair loop works on coordinate tuples and text forms computed
+    # once per vertex.  A nonzero product is the color; a zero product
+    # flips the coin keyed by pair_identity's string, the two text forms
+    # in coordinate order.
+    seed = params.seed
+    coords = [v.coords for v in verts]
+    texts = [v.text_form() for v in verts]
+    rows = []
+    for i in range(len(verts) - 1):
+        ci, ti = coords[i], texts[i]
+        row = []
+        for j in range(i + 1, len(verts)):
+            cj = coords[j]
+            d = sum(map(mul, ci, cj)) % q
+            if d:
+                row.append(d)
+            elif ci < cj:
+                row.append(q + pair_coin(seed, ti + "|" + texts[j]))
+            else:
+                row.append(q + pair_coin(seed, texts[j] + "|" + ti))
+        rows.append(tuple(row))
     prov = (f"field-coloring q={q} t={params.t} n={params.n} seed={params.seed}",)
-    return EdgeColoring(params.n, q + 1, rows, prov)
+    return EdgeColoring(params.n, q + 1, tuple(rows), prov)
 
 
 def sample_binary_vectors(length: int, n: int, seed: int) -> list[FieldVector]:
@@ -233,9 +228,14 @@ def dot_two_coloring(vertices: Sequence[FieldVector], provenance: tuple[str, ...
         raise ParameterError("need at least two vertices")
     if len({v.coords for v in verts}) != len(verts):
         raise ParameterError("duplicate vertices")
+    first = verts[0]
+    if any(v.modulus != first.modulus or len(v) != len(first) for v in verts):
+        raise DimensionError("vectors differ in modulus or length")
+    q = first.q
+    coords = [v.coords for v in verts]
     rows = tuple(
-        tuple(1 if dot(verts[i], verts[j]) == 0 else 2 for j in range(i + 1, len(verts)))
-        for i in range(len(verts) - 1)
+        tuple(2 if sum(map(mul, ci, coords[j])) % q else 1 for j in range(i + 1, len(coords)))
+        for i, ci in enumerate(coords[:-1])
     )
     return EdgeColoring(len(verts), 2, rows, provenance)
 

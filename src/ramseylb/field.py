@@ -49,8 +49,10 @@ class FieldVector:
     def __post_init__(self) -> None:
         if len(self.coords) == 0:
             raise DimensionError("vector must have at least one coordinate")
+        if any(type(c) is not int for c in self.coords):
+            raise ParameterError(f"coordinates must be int: {self.coords!r}")
         q = self.modulus.q
-        object.__setattr__(self, "coords", tuple(int(c) % q for c in self.coords))
+        object.__setattr__(self, "coords", tuple(c % q for c in self.coords))
 
     @property
     def q(self) -> int:

@@ -12,11 +12,21 @@ from __future__ import annotations
 import hashlib
 import random
 
-_MASK64 = (1 << 64) - 1
+from .errors import ParameterError
+
+_SEED_LIMIT = 1 << 64
+
+
+def _checked(seed: int) -> int:
+    """The seed itself, when it lies in [0, 2^64); seeds are never
+    reduced, so distinct seeds never share a stream."""
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ParameterError(f"seed {seed} outside [0, 2^64)")
+    return seed
 
 
 def _seed_bytes(seed: int) -> bytes:
-    return (seed & _MASK64).to_bytes(8, "big")
+    return _checked(seed).to_bytes(8, "big")
 
 
 def derive_seed(seed: int, *labels: object) -> int:
@@ -39,4 +49,4 @@ def pair_coin(seed: int, identity: str) -> int:
 
 def make_rng(seed: int) -> random.Random:
     """Mersenne Twister instance seeded from a 64-bit value."""
-    return random.Random(seed & _MASK64)
+    return random.Random(_checked(seed))

@@ -148,3 +148,10 @@ def test_two_color_subcommand(tmp_path):
     assert run("construct-two-color", "--t", "3", "--n", "10", "--out", str(out)) == 0
     col = EdgeColoring.from_text(out.read_text())
     assert col.n == 10 and col.num_colors == 2
+
+
+def test_seed_outside_64_bits_exit_code(tmp_path):
+    out = tmp_path / "c.txt"
+    assert run("construct", "--q", "3", "--t", "4", "--n", "12", "--seed", "-1", "--out", str(out)) == 2
+    assert run("construct", "--q", "3", "--t", "4", "--n", "12", "--seed", str(2**64)) == 2
+    assert not out.exists()

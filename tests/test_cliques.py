@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylb.cliques import (
+    _max_clique_mask,
     clique_gram_det,
     enumerate_potential_cliques,
     max_monochromatic_clique,
@@ -83,6 +87,100 @@ def test_search_node_cap():
     col = EdgeColoring(10, 1, rows)
     with pytest.raises(ResourceCapError):
         max_monochromatic_clique(col, 1, cap=2)
+
+
+def reference_max_clique_mask(adj, cap):
+    """The search with vertex-by-vertex first-fit coloring and a sort by
+    class, as the class-at-a-time coloring replaced it.  Returns the
+    clique mask and the number of search nodes."""
+    n = len(adj)
+    if n == 0:
+        return 0, 0
+    best_size = 0
+    best_mask = 0
+    visited = 0
+
+    def expand(size, mask, cand):
+        nonlocal best_size, best_mask, visited
+        visited += 1
+        if visited > cap:
+            raise ResourceCapError(f"clique search exceeded {cap} nodes")
+        classes = []
+        seq = []
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            for ci in range(len(classes)):
+                if not adj[v] & classes[ci]:
+                    classes[ci] |= low
+                    seq.append((v, ci + 1))
+                    break
+            else:
+                classes.append(low)
+                seq.append((v, len(classes)))
+        seq.sort(key=lambda vc: vc[1])
+        remaining = cand
+        for v, bound in reversed(seq):
+            if size + bound <= best_size:
+                return
+            vbit = 1 << v
+            new_cand = remaining & adj[v]
+            if new_cand:
+                expand(size + 1, mask | vbit, new_cand)
+            elif size + 1 > best_size:
+                best_size = size + 1
+                best_mask = mask | vbit
+            remaining &= ~vbit
+
+    expand(0, 0, (1 << n) - 1)
+    return best_mask, visited
+
+
+def random_bitset_graph(rng, n, density):
+    adj = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return adj
+
+
+def test_search_matches_first_fit_reference_and_cap_boundary():
+    rng = random.Random(44)
+    for _ in range(150):
+        n = rng.randrange(0, 61)
+        adj = random_bitset_graph(rng, n, rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0]))
+        mask, nodes = reference_max_clique_mask(adj, 10**7)
+        assert _max_clique_mask(adj, 10**7) == mask
+        assert _max_clique_mask(adj, nodes) == mask
+        if nodes:
+            with pytest.raises(ResourceCapError):
+                _max_clique_mask(adj, nodes - 1)
+
+
+@st.composite
+def colorings(draw):
+    n = draw(st.integers(1, 24))
+    num_colors = draw(st.integers(2, 4))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(1, num_colors), min_size=n - 1 - i, max_size=n - 1 - i)))
+        for i in range(n - 1)
+    )
+    return EdgeColoring(n, num_colors, rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(colorings())
+def test_search_agrees_with_networkx_clique_number(col):
+    for color in range(1, col.num_colors + 1):
+        g = nx.Graph()
+        g.add_nodes_from(range(col.n))
+        g.add_edges_from((i, j) for i, j, c in col.pairs() if c == color)
+        w = max_monochromatic_clique(col, color)
+        assert w.size == max(len(c) for c in nx.find_cliques(g))
+        assert all(col.color(a, b) == color for a, b in itertools.combinations(w.vertices, 2))
 
 
 def test_monochromatic_cliques_match_subset_listing():

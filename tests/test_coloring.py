@@ -9,13 +9,13 @@ from ramseylb.coloring import (
     build_paley,
     build_two_color,
     dot_two_coloring,
-    edge_color,
     pair_identity,
     sample_binary_vectors,
 )
 from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError
 from ramseylb.field import FieldVector, PrimeModulus, dot
-from ramseylb.isotropic import enumerate_isotropic
+from ramseylb.isotropic import enumerate_isotropic, sample_distinct
+from ramseylb.rng import derive_seed, make_rng, pair_coin
 
 M2, M3 = PrimeModulus(2), PrimeModulus(3)
 
@@ -25,40 +25,45 @@ def fv(modulus, *coords):
 
 
 # ---------------------------------------------------------------------------
-# edge_color
+# the color of one pair: the construction on two vertices
 # ---------------------------------------------------------------------------
+
+def pair_color(u, v, seed):
+    params = ConstructionParams(u.modulus, len(u), seed, n=2)
+    return build_field_coloring(params, [u, v]).color(0, 1)
+
 
 def test_nonzero_product_color_is_seed_independent():
     u = fv(M3, 1, 1, 1, 0)  # self product 0
     v = fv(M3, 0, 1, 1, 1)
     assert dot(u, v) == 2
     for seed in range(50):
-        assert edge_color(u, v, seed) == 2
+        assert pair_color(u, v, seed) == 2
 
 
 def test_unit_product_example():
     u = fv(M2, 1, 1, 0, 0, 0)
     v = fv(M2, 1, 0, 1, 0, 0)
-    assert edge_color(u, v, 3) == 1
+    assert pair_color(u, v, 3) == 1
 
 
 def test_zero_product_coin_colors_and_frequency():
     u = fv(M2, 0, 1, 1, 0, 0)
     v = fv(M2, 0, 0, 0, 1, 1)
     assert dot(u, v) == 0
-    seen = [edge_color(u, v, seed) for seed in range(10_000)]
+    seen = [pair_color(u, v, seed) for seed in range(10_000)]
     assert set(seen) <= {2, 3}
     freq = seen.count(2) / len(seen)
     se = math.sqrt(0.25 / len(seen))
     assert abs(freq - 0.5) <= 5 * se
 
 
-def test_edge_color_rejects_self_loop_and_anisotropic():
+def test_two_vertex_build_rejects_duplicate_and_anisotropic():
     u = fv(M3, 1, 1, 1, 0)
     with pytest.raises(ParameterError):
-        edge_color(u, u, 0)
+        pair_color(u, u, 0)
     with pytest.raises(ParameterError):
-        edge_color(u, fv(M3, 1, 0, 0, 0), 0)
+        pair_color(u, fv(M3, 1, 0, 0, 0), 0)
 
 
 def test_pair_identity_is_order_free():
@@ -101,6 +106,31 @@ def test_field_coloring_restriction_consistency():
     assert full.induced(subset) == direct
 
 
+def reference_build(params, vertices):
+    """The per-pair build the pair loop replaced: one dot, one
+    pair_identity and, on a zero product, one pair_coin per pair."""
+    q = params.modulus.q
+    rows = tuple(
+        tuple(
+            dot(u, v) or q + pair_coin(params.seed, pair_identity(u, v))
+            for v in vertices[i + 1 :]
+        )
+        for i, u in enumerate(vertices[:-1])
+    )
+    prov = (f"field-coloring q={q} t={params.t} n={params.n} seed={params.seed}",)
+    return EdgeColoring(params.n, q + 1, rows, prov)
+
+
+@pytest.mark.parametrize("q, t, n", [(2, 5, 16), (3, 4, 33), (5, 4, 145), (2, 9, 200)])
+def test_field_coloring_matches_per_pair_reference(q, t, n):
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    for seed in (1, 2, 2**64 - 1):
+        verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "sample")))
+        params = ConstructionParams(ground.modulus, t, seed, n)
+        got = build_field_coloring(params, verts).to_text().splitlines()
+        assert got == reference_build(params, verts).to_text().splitlines()
+
+
 def test_construction_params_validation():
     with pytest.raises(ParameterError):
         ConstructionParams(M2, 4, seed=0, n=4)  # t = 0 mod q
@@ -131,6 +161,13 @@ def test_two_color_rule_matches_dot():
     col = dot_two_coloring(verts)
     for i, j, c in col.pairs():
         assert c == (1 if dot(verts[i], verts[j]) == 0 else 2)
+
+
+def test_dot_two_coloring_rejects_mixed_vectors():
+    with pytest.raises(DimensionError):
+        dot_two_coloring([fv(M2, 1, 0), fv(M2, 0, 1, 1)])
+    with pytest.raises(DimensionError):
+        dot_two_coloring([fv(M2, 1, 0), fv(M3, 0, 1)])
 
 
 def test_two_color_not_isotropy_filtered():

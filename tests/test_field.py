@@ -55,6 +55,12 @@ def test_coordinates_reduced_eagerly():
     assert v.coords == (1, 2, 0, 2)
 
 
+@pytest.mark.parametrize("coords", [(1.7, 1, 2, 0), (True, 1, 2, 0), (1, 1, 2, "0")])
+def test_non_int_coordinates_rejected(coords):
+    with pytest.raises(ParameterError):
+        FieldVector(M3, coords)
+
+
 def test_empty_vector_rejected():
     with pytest.raises(DimensionError):
         FieldVector(M3, ())

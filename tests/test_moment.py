@@ -286,6 +286,16 @@ def test_reverify_rejects_header_and_vector_tampering(fixture_certificate):
         assert not reverify_text(bad)
 
 
+def test_reverify_rejects_a_seed_outside_64_bits():
+    # -1 once aliased 2^64 - 1; a certificate made at the top seed must
+    # not reverify under -1
+    top = 2**64 - 1
+    cert = find_witness(**{**FIXTURE, "seed": top})
+    text = certificate_to_text(cert)
+    assert reverify_text(text)
+    assert not reverify_text(text.replace(f"seed={top}\n", "seed=-1\n"))
+
+
 def test_reverify_text_rejects_garbage():
     assert not reverify_text("not a certificate\n")
     assert not reverify_text("")
