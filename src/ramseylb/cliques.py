@@ -22,10 +22,11 @@ counting bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .coloring import EdgeColoring
 from .errors import ParameterError, ResourceCapError
-from .field import FieldVector, PrimeModulus, _eliminate, dot, is_prime, rank
+from .field import FieldVector, PrimeModulus, _eliminate, is_prime, rank
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
@@ -44,21 +45,39 @@ class CliqueWitness:
 
 
 def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    """Minimum-degree peeling order with lowest-index tie-breaking."""
+    """Minimum-degree peeling order with lowest-index tie-breaking.
+
+    A bucket queue: ``buckets[d]`` is the bitmask of the alive vertices
+    of degree d, so the lowest set bit of the lowest non-empty bucket is
+    the next vertex.  Peeling a vertex of degree d leaves every degree at
+    least d - 1, so the scan for that bucket restarts there.
+    """
     deg = [adj[v].bit_count() for v in range(n)]
-    alive = [True] * n
+    buckets = [0] * n
+    for v in range(n):
+        buckets[deg[v]] |= 1 << v
+    alive = (1 << n) - 1
     order: list[int] = []
+    d = 0
     for _ in range(n):
-        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
-        alive[v] = False
+        while not buckets[d]:
+            d += 1
+        bucket = buckets[d]
+        low = bucket & -bucket
+        buckets[d] = bucket ^ low
+        alive ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        m = adj[v]
+        m = adj[v] & alive
         while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if alive[u]:
-                deg[u] -= 1
-            m ^= low
+            ubit = m & -m
+            u = ubit.bit_length() - 1
+            buckets[deg[u]] ^= ubit
+            deg[u] -= 1
+            buckets[deg[u]] |= ubit
+            m ^= ubit
+        if d:
+            d -= 1
     return order
 
 
@@ -244,17 +263,19 @@ def enumerate_potential_cliques(
     if t < 1:
         raise ParameterError("clique size must be positive")
     vecs = ground.vectors
-    m = len(vecs)
-    orth = [0] * m
-    for a in range(m):
-        for b in range(a + 1, m):
-            if dot(vecs[a], vecs[b]) == 0:
-                orth[a] |= 1 << b
-                orth[b] |= 1 << a
+    q = ground.modulus.q
+    # IsotropicSet has checked that every vector shares the modulus and
+    # dimension, so the products are taken on the coordinate tuples.
+    coords = [v.coords for v in vecs]
+    prod = [[sum(map(mul, x, y)) % q for y in coords] for x in coords]
+    orth = [
+        sum(1 << b for b, p in enumerate(row) if p == 0 and b != a)
+        for a, row in enumerate(prod)
+    ]
     found: list[PotentialClique] = []
     for ids in _k_cliques(orth, t, cap, "potential-clique enumeration"):
         vs = tuple(vecs[k] for k in ids)
-        g = tuple(tuple(dot(x, y) for y in vs) for x in vs)
+        g = tuple(tuple(prod[a][b] for b in ids) for a in ids)
         r = rank(vs)
         assert r <= t // 2
         found.append(PotentialClique(vs, r, g))

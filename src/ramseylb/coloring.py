@@ -71,10 +71,14 @@ class EdgeColoring:
     def color_class_bitsets(self, color: int) -> list[int]:
         """Adjacency of the chosen color class as per-vertex bitmasks."""
         adj = [0] * self.n
-        for i, j, c in self.pairs():
-            if c == color:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+        for i, row in enumerate(self.rows):
+            bit = 1 << i
+            acc = 0
+            for j, c in enumerate(row, i + 1):
+                if c == color:
+                    acc |= 1 << j
+                    adj[j] |= bit
+            adj[i] |= acc
         return adj
 
     def induced(self, indices: Sequence[int]) -> "EdgeColoring":

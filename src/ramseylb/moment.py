@@ -107,6 +107,8 @@ def exact_mono_expectation(
     if m > subset_cap:
         raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {subset_cap})")
     cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
+    if not cliques:
+        return Fraction(0)
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
     clique_masks = []
     clique_pairs = []
@@ -177,25 +179,49 @@ def monte_carlo_mono_count(
         raise ParameterError(f"probability {p} outside [0, 1]")
     ground = enumerate_isotropic(modulus, t, cap=enum_cap)
     cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
-    clique_pair_ids = [
-        tuple(
-            pair_identity(c.vectors[a], c.vectors[b])
-            for a in range(len(c.vectors))
-            for b in range(a + 1, len(c.vectors))
-        )
-        for c in cliques
-    ]
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    # Each clique as the bitmask of its ground-set indices and the indices
+    # of its C(t, 2) pairs into one table of pair_identity strings.  A
+    # clique counts when its coins all agree, so one with no pairs (t = 1)
+    # never counts and is left out.
+    pair_ids: list[str] = []
+    pair_index: dict[tuple[int, int], int] = {}
+    scored: list[tuple[int, list[int]]] = []
+    for c in cliques:
+        ids = [index[v.coords] for v in c.vectors]
+        pairs = []
+        for pos, a in enumerate(ids):
+            for b in ids[pos + 1 :]:
+                j = pair_index.get((a, b))
+                if j is None:
+                    j = pair_index[(a, b)] = len(pair_ids)
+                    pair_ids.append(pair_identity(ground.vectors[a], ground.vectors[b]))
+                pairs.append(j)
+        if pairs:
+            scored.append((sum(1 << i for i in ids), pairs))
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, p, make_rng(derive_seed(seed, "mc-subset", k)))
-        kept = {v.coords for v in subset}
+        kept = sum(1 << index[v.coords] for v in subset)
         coin_seed = derive_seed(seed, "mc-coins", k)
+        # Each pair's coin is flipped at most once per trial, and a clique
+        # stops being scored at its first coin that differs from the others.
+        coins: list[int | None] = [None] * len(pair_ids)
         cnt = 0
-        for c, pids in zip(cliques, clique_pair_ids):
-            if all(v.coords in kept for v in c.vectors):
-                flips = {pair_coin(coin_seed, pid) for pid in pids}
-                if len(flips) == 1:
-                    cnt += 1
+        for mask, pairs in scored:
+            if kept & mask != mask:
+                continue
+            first = None
+            for j in pairs:
+                coin = coins[j]
+                if coin is None:
+                    coin = coins[j] = pair_coin(coin_seed, pair_ids[j])
+                if first is None:
+                    first = coin
+                elif coin != first:
+                    break
+            else:
+                cnt += 1
         counts.append(cnt)
     mean = sum(counts) / n_trials
     stderr = 0.0

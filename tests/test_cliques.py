@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylb.cliques import (
+    PotentialClique,
+    _degeneracy_order,
+    _k_cliques,
     _max_clique_mask,
     clique_gram_det,
     enumerate_potential_cliques,
@@ -160,6 +163,33 @@ def test_search_matches_first_fit_reference_and_cap_boundary():
                 _max_clique_mask(adj, nodes - 1)
 
 
+def reference_degeneracy_order(adj, n):
+    """The peeling order as a min over all alive vertices per step, which
+    the bucket queue replaced."""
+    deg = [adj[v].bit_count() for v in range(n)]
+    alive = [True] * n
+    order = []
+    for _ in range(n):
+        v = min((u for u in range(n) if alive[u]), key=lambda u: (deg[u], u))
+        alive[v] = False
+        order.append(v)
+        m = adj[v]
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            if alive[u]:
+                deg[u] -= 1
+            m ^= low
+    return order
+
+
+def test_degeneracy_order_matches_min_scan_reference():
+    rng = random.Random(45)
+    for _ in range(200):
+        n = rng.randrange(0, 81)
+        adj = random_bitset_graph(rng, n, rng.choice([0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0, rng.random()]))
+        assert _degeneracy_order(adj, n) == reference_degeneracy_order(adj, n)
+
 @st.composite
 def colorings(draw):
     n = draw(st.integers(1, 24))
@@ -265,6 +295,32 @@ def test_potential_cliques_match_brute_force_q3_t4():
         tuple(v.coords for v in b) for b in brute
     }
 
+
+
+def reference_potential_cliques(ground, t):
+    """The enumeration that took every product with dot, which the product
+    table replaced."""
+    vecs = ground.vectors
+    m = len(vecs)
+    orth = [0] * m
+    for a in range(m):
+        for b in range(a + 1, m):
+            if dot(vecs[a], vecs[b]) == 0:
+                orth[a] |= 1 << b
+                orth[b] |= 1 << a
+    found = []
+    for ids in _k_cliques(orth, t, 10**7, "reference"):
+        vs = tuple(vecs[k] for k in ids)
+        found.append(PotentialClique(vs, rank(vs), tuple(tuple(dot(x, y) for y in vs) for x in vs)))
+    return found
+
+
+@pytest.mark.parametrize("q, t", [(3, 4), (3, 5), (2, 7), (5, 3)])
+def test_potential_cliques_match_dot_reference(q, t):
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    got = enumerate_potential_cliques(ground, t)
+    assert got
+    assert got == reference_potential_cliques(ground, t)
 
 def test_potential_clique_structure():
     ground = enumerate_isotropic(M3, 4)

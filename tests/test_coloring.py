@@ -131,6 +131,23 @@ def test_field_coloring_matches_per_pair_reference(q, t, n):
         assert got == reference_build(params, verts).to_text().splitlines()
 
 
+def reference_bitsets(col, color):
+    adj = [0] * col.n
+    for i, j, c in col.pairs():
+        if c == color:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@pytest.mark.parametrize("q, t, n", [(3, 4, 33), (5, 4, 145)])
+def test_color_class_bitsets_match_pairs_reference(q, t, n):
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    verts = sample_distinct(ground, n, make_rng(derive_seed(7, "sample")))
+    col = build_field_coloring(ConstructionParams(ground.modulus, t, 7, n), verts)
+    for color in range(1, q + 2):
+        assert col.color_class_bitsets(color) == reference_bitsets(col, color)
+
 def test_construction_params_validation():
     with pytest.raises(ParameterError):
         ConstructionParams(M2, 4, seed=0, n=4)  # t = 0 mod q

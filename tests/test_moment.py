@@ -1,12 +1,18 @@
 import itertools
+import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
 
-from ramseylb.cliques import max_monochromatic_clique
+from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
+from ramseylb.coloring import pair_identity
 from ramseylb.errors import CapacityError, ParameterError, ResourceCapError
+from ramseylb.field import PrimeModulus
+from ramseylb.isotropic import bernoulli_subset, enumerate_isotropic
 from ramseylb.moment import (
+    MonteCarloEstimate,
     WitnessCertificate,
     WitnessSearchFailure,
     _hitting_set,
@@ -21,6 +27,7 @@ from ramseylb.moment import (
     reverify,
     reverify_text,
 )
+from ramseylb.rng import derive_seed, make_rng, pair_coin
 
 # Small witness fixture: at (q=3, t=4) with n=14 an attempt samples 28
 # vectors and deletes one vertex from each monochromatic 4-clique; every
@@ -128,6 +135,34 @@ def test_monte_carlo_deterministic_given_seed():
     a = monte_carlo_mono_count(2, 4, 500, 0.5, seed=3)
     b = monte_carlo_mono_count(2, 4, 500, 0.5, seed=3)
     assert a == b
+
+
+def reference_monte_carlo(q, t, n_trials, p, seed):
+    """The per-clique estimator the bitmask and coin-table kernel replaced:
+    a membership test per clique vector and a coin for every pair of
+    every surviving clique."""
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    cliques = enumerate_potential_cliques(ground, t)
+    pair_ids = [[pair_identity(u, v) for u, v in itertools.combinations(c.vectors, 2)] for c in cliques]
+    counts = []
+    for k in range(n_trials):
+        subset = bernoulli_subset(ground, p, make_rng(derive_seed(seed, "mc-subset", k)))
+        kept = {v.coords for v in subset}
+        coin_seed = derive_seed(seed, "mc-coins", k)
+        cnt = 0
+        for c, pids in zip(cliques, pair_ids):
+            if all(v.coords in kept for v in c.vectors):
+                cnt += len({pair_coin(coin_seed, pid) for pid in pids}) == 1
+        counts.append(cnt)
+    stderr = statistics.stdev(counts) / math.sqrt(n_trials) if n_trials > 1 else 0.0
+    return MonteCarloEstimate(sum(counts) / n_trials, stderr, n_trials)
+
+
+@pytest.mark.parametrize("q, t", [(3, 4), (2, 5), (2, 6)])
+def test_monte_carlo_matches_per_clique_reference(q, t):
+    for p in (0, 0.3, Fraction(1, 2), 1):
+        for seed in (0, 1, 2**64 - 1):
+            assert monte_carlo_mono_count(q, t, 12, p, seed) == reference_monte_carlo(q, t, 12, p, seed)
 
 
 # ---------------------------------------------------------------------------
