@@ -9,6 +9,7 @@ the effective seed is recorded in every output header.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -179,7 +180,8 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseylb",
         description="Construct, verify and tabulate multicolor Ramsey lower-bound instances.",
@@ -262,9 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one subcommand and return its exit status.
+
+    The parser is built on the first call and reused by later ones in
+    the same process.  Parsing keeps no state between calls, and usage
+    errors go to the sys.stderr current at the call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

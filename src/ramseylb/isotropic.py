@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -73,7 +74,18 @@ def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVect
 
 
 def bernoulli_subset(ground: IsotropicSet, p, rng: Random) -> list[FieldVector]:
-    """Retain each vector independently with probability p."""
+    """Retain each vector independently with probability p.
+
+    One ``rng.random()`` per vector, kept when it is below p, compared
+    exactly.  float(p) is a nearest float to p, so no float lies strictly
+    between the two: a draw x is below p exactly when x < float(p), or,
+    when float(p) rounded p down, when x < the next float up.  So a
+    Fraction p costs one float comparison per draw, not one Fraction per
+    draw.
+    """
     if not 0 <= p <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
-    return [v for v in ground.vectors if rng.random() < p]
+    f = float(p)
+    if f < p:
+        f = math.nextafter(f, 1)
+    return [v for v in ground.vectors if rng.random() < f]

@@ -13,6 +13,7 @@ needs nothing beyond this module to re-check a claimed bound instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,13 @@ def recommended_n(q: int, t: int, slack: SlackLike = 0) -> int:
     return floor_power_product([(2, Fraction(t, 2)), (q, Fraction(3 * t, 8) + s)])
 
 
+def _check_clique_order(t: int) -> None:
+    """The estimators count cliques whose C(t, 2) coins all agree; below
+    t = 2 a clique has no pairs and so no color."""
+    if t < 2:
+        raise ParameterError(f"t={t}: a monochromatic clique needs t >= 2")
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Upper bound on the expected number of monochromatic potential cliques
@@ -69,8 +77,9 @@ class MomentReport:
 def expected_mono_count(q: int, t: int, n: int, ground_size: int) -> MomentReport:
     """Moment report at p = 2n/ground_size; fails when p would exceed 1."""
     PrimeModulus(q)
-    if t < 1 or n < 1 or ground_size < 1:
-        raise ParameterError("t, n and the ground size must be positive")
+    _check_clique_order(t)
+    if n < 1 or ground_size < 1:
+        raise ParameterError("n and the ground size must be positive")
     p = Fraction(2 * n, ground_size)
     if p > 1:
         raise ParameterError(f"n={n} too large for a ground set of size {ground_size}")
@@ -99,6 +108,7 @@ def exact_mono_expectation(
     subset_cap.
     """
     modulus = PrimeModulus(q)
+    _check_clique_order(t)
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
@@ -173,6 +183,7 @@ def monte_carlo_mono_count(
     coin seed, both derived from (seed, trial index).
     """
     modulus = PrimeModulus(q)
+    _check_clique_order(t)
     if n_trials < 1:
         raise ParameterError("need at least one trial")
     if not 0 <= p <= 1:
@@ -181,9 +192,7 @@ def monte_carlo_mono_count(
     cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
     # Each clique as the bitmask of its ground-set indices and the indices
-    # of its C(t, 2) pairs into one table of pair_identity strings.  A
-    # clique counts when its coins all agree, so one with no pairs (t = 1)
-    # never counts and is left out.
+    # of its C(t, 2) pairs into one table of pair_identity strings.
     pair_ids: list[str] = []
     pair_index: dict[tuple[int, int], int] = {}
     scored: list[tuple[int, list[int]]] = []
@@ -197,8 +206,7 @@ def monte_carlo_mono_count(
                     j = pair_index[(a, b)] = len(pair_ids)
                     pair_ids.append(pair_identity(ground.vectors[a], ground.vectors[b]))
                 pairs.append(j)
-        if pairs:
-            scored.append((sum(1 << i for i in ids), pairs))
+        scored.append((sum(1 << i for i in ids), pairs))
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, p, make_rng(derive_seed(seed, "mc-subset", k)))
@@ -365,18 +373,19 @@ def _run_attempt(
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col.to_text(), sizes, "pass")
 
 
-def _pooled_attempts(q, t, ground, n, seed, max_attempts, jobs, node_cap):
-    """Attempt outcomes in index order, run jobs at a time in worker processes.
+def _pooled_attempts(q, t, ground, n, seed, attempts, jobs, node_cap):
+    """Outcomes of the attempt indices in ``attempts``, in order, run jobs
+    at a time in worker processes.
 
     Results are yielded in order and the caller stops at the first
     success, so an error in a later attempt of the same wave is dropped,
     as a sequential run would never have made that attempt.
     """
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for wave_start in range(1, max_attempts + 1, jobs):
-            wave = range(wave_start, min(wave_start + jobs, max_attempts + 1))
+        for start in range(0, len(attempts), jobs):
             futures = [
-                pool.submit(_run_attempt, q, t, ground, n, seed, k, node_cap) for k in wave
+                pool.submit(_run_attempt, q, t, ground, n, seed, k, node_cap)
+                for k in attempts[start : start + jobs]
             ]
             for fut in futures:
                 yield fut.result()
@@ -400,9 +409,11 @@ def find_witness(
     more than the surplus over n.  The clique listing, the deletion
     search and each max-clique search are capped at node_cap nodes.
 
-    Attempts are independent given their derived seeds, so they may run
-    concurrently (jobs > 1); the lowest successful attempt index always
-    wins, making the outcome identical to a sequential run.
+    Attempts are independent given their derived seeds, so with jobs > 1
+    the attempts after the first run concurrently in a process pool,
+    started only once attempt 1 has failed in the calling process.  The
+    lowest successful attempt index always wins, making the outcome
+    identical to a sequential run.
     """
     modulus = PrimeModulus(q)
     if t < 1 or t % q == 0:
@@ -414,12 +425,17 @@ def find_witness(
     ground = enumerate_isotropic(modulus, t, cap=enum_cap)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
+    # Attempt 1 runs in this process, and the generator's pool starts only
+    # when it has failed.  At n <= recommended_n every sampled request won
+    # at attempt 1, which takes less time than starting a pool.  Above it,
+    # a win at an even attempt k > 1 with jobs = 2 takes one attempt longer
+    # than waves of jobs counted from attempt 1 would.
+    later = range(2, max_attempts + 1)
     if jobs <= 1:
-        outcomes = (
-            _run_attempt(q, t, ground, n, seed, k, node_cap) for k in range(1, max_attempts + 1)
-        )
+        rest = (_run_attempt(q, t, ground, n, seed, k, node_cap) for k in later)
     else:
-        outcomes = _pooled_attempts(q, t, ground, n, seed, max_attempts, jobs, node_cap)
+        rest = _pooled_attempts(q, t, ground, n, seed, later, jobs, node_cap)
+    outcomes = itertools.chain([_run_attempt(q, t, ground, n, seed, 1, node_cap)], rest)
     failures: list[AttemptFailure] = []
     for outcome in outcomes:
         if isinstance(outcome, WitnessCertificate):

@@ -1,7 +1,12 @@
+import argparse
+import contextlib
+import io
+
+from ramseylb import cli
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.coloring import EdgeColoring, build_paley
 from ramseylb.compose import blowup_product
-from ramseylb.moment import certificate_from_text
+from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
 
 
 def run(*argv):
@@ -155,3 +160,63 @@ def test_seed_outside_64_bits_exit_code(tmp_path):
     assert run("construct", "--q", "3", "--t", "4", "--n", "12", "--seed", "-1", "--out", str(out)) == 2
     assert run("construct", "--q", "3", "--t", "4", "--n", "12", "--seed", str(2**64)) == 2
     assert not out.exists()
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    assert run("bounds", "--t", "8", "--colors", "3") == 0
+    first = len(built)
+    assert first > 0
+    assert run("enumerate", "--q", "2", "--t", "1") == 0
+    assert run("frobnicate") == 2
+    assert run("construct-paley", "--p", "5") == 0
+    assert run("bounds", "--t", "8", "--colors", "4", "--csv") == 0
+    assert len(built) == first
+
+
+def test_results_do_not_depend_on_command_order(tmp_path, capsys):
+    cert = tmp_path / "w.cert"
+    cert.write_text(certificate_to_text(find_witness(3, 4, 14, 60, DEFAULT_SEED)))
+    new_cert = tmp_path / "new.cert"
+    commands = [
+        ("certify", "--q", "3", "--t", "x", "--n", "14"),
+        ("certify", "--q", "3", "--t", "4", "--n", "14", "--out", str(new_cert)),
+        ("reverify", "--cert", str(cert)),
+        ("bounds", "--t", "8", "--colors", "4"),
+    ]
+
+    def session(order):
+        # each session starts from a fresh parser, built by its first command
+        cli._parser.cache_clear()
+        results = {}
+        for argv in order:
+            rc = run(*argv)
+            captured = capsys.readouterr()
+            results[argv] = (rc, captured.out, captured.err)
+        return results, new_cert.read_text()
+
+    forward = session(commands)
+    assert forward == session(commands[::-1])
+    results = forward[0]
+    assert results[commands[0]][0] == 2
+    assert "invalid int value: 'x'" in results[commands[0]][2]
+    assert [results[argv][0] for argv in commands[1:]] == [0, 0, 0]
+
+
+def test_usage_errors_go_to_the_current_stderr(capsys):
+    assert run("bounds", "--t", "8", "--colors", "3") == 0
+    capsys.readouterr()
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stderr(buf):
+            assert run("frobnicate") == 2
+        assert "invalid choice: 'frobnicate'" in buf.getvalue()
+    assert capsys.readouterr().err == ""

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,46 @@ def test_bernoulli_subset_edges_and_determinism():
     for bad in (-0.1, 1.1):
         with pytest.raises(ParameterError):
             bernoulli_subset(vs, bad, make_rng(4))
+
+
+def reference_bernoulli_subset(ground, p, rng):
+    """The direct comparison of each draw with p that the threshold replaced."""
+    return [v for v in ground.vectors if rng.random() < p]
+
+
+@pytest.mark.parametrize("q, t", [(3, 4), (2, 7)])
+def test_bernoulli_subset_matches_float_comparison(q, t):
+    vs = enumerate_isotropic(PrimeModulus(q), t)
+    for p in (0, 0.3, 1 / 3, 0.5, Fraction(1, 2), Fraction(2, 3), 1):
+        for seed in (0, 1, 2**64 - 1):
+            got, ref = make_rng(seed), make_rng(seed)
+            for _ in range(3):
+                assert bernoulli_subset(vs, p, got) == reference_bernoulli_subset(vs, p, ref)
+            # one draw per vector, so the stream stays in step
+            assert got.random() == ref.random()
+
+
+class _Draws:
+    """Stands in for a generator, returning the given floats in turn."""
+
+    def __init__(self, xs):
+        self.xs = iter(xs)
+
+    def random(self):
+        return next(self.xs)
+
+
+def test_bernoulli_subset_is_exact_next_to_float_p():
+    vs = enumerate_isotropic(M2, 3)  # 4 vectors
+    tiny = Fraction(1, 10**30)
+    for p in (0.3, 1 / 3, Fraction(1, 3), Fraction(1, 10), Fraction(1, 2), Fraction(2, 3), tiny, 1 - tiny):
+        f = float(p)
+        draws = [math.nextafter(f, 0), f, math.nextafter(f, 1), 0.0]
+        got = bernoulli_subset(vs, p, _Draws(draws))
+        assert got == reference_bernoulli_subset(vs, p, _Draws(draws)), p
+    # float(1/3) lies below 1/3 and float(1/10) above 1/10
+    assert len(bernoulli_subset(vs, Fraction(1, 3), _Draws([1 / 3] * 4))) == 4
+    assert bernoulli_subset(vs, Fraction(1, 10), _Draws([0.1] * 4)) == []
 
 
 def test_bernoulli_subset_keeps_roughly_half():

@@ -5,10 +5,13 @@ import statistics
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ramseylb import moment
 from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
-from ramseylb.coloring import pair_identity
-from ramseylb.errors import CapacityError, ParameterError, ResourceCapError
+from ramseylb.coloring import EdgeColoring, pair_identity
+from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus
 from ramseylb.isotropic import bernoulli_subset, enumerate_isotropic
 from ramseylb.moment import (
@@ -72,6 +75,17 @@ def test_expected_mono_count_exact_value():
     assert rep.p == Fraction(1, 2)
     assert rep.expected_upper == Fraction(2177, 512)
     assert abs(rep.log2_expected - (4 * -1 + (1 - 6) + 11.088)) < 0.01
+
+
+def test_moment_estimators_need_t_at_least_two():
+    # a one-vector clique has no pairs, so no coins and no color
+    for t in (0, 1):
+        with pytest.raises(ParameterError):
+            expected_mono_count(3, t, 1, 3)
+        with pytest.raises(ParameterError):
+            exact_mono_expectation(3, t, Fraction(1, 2))
+        with pytest.raises(ParameterError):
+            monte_carlo_mono_count(3, t, 10, Fraction(1, 2), seed=1)
 
 
 def test_expected_mono_count_monotone_in_n():
@@ -230,6 +244,19 @@ def test_find_witness_two_jobs_match_one(n, attempts):
         assert certificate_to_text(par) == certificate_to_text(seq)
 
 
+def test_find_witness_starts_no_pool_when_attempt_one_wins(monkeypatch):
+    seq = find_witness(3, 4, 20, 200, seed=271828)
+    assert isinstance(seq, WitnessCertificate) and seq.attempt == 1
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(moment, "ProcessPoolExecutor", no_pool)
+    par = find_witness(3, 4, 20, 200, seed=271828, jobs=2)
+    assert par == seq
+    assert certificate_to_text(par) == certificate_to_text(seq)
+
+
 def test_hitting_set_is_exact_against_subset_listing():
     rng = random.Random(5)
     for _ in range(150):
@@ -334,3 +361,37 @@ def test_reverify_rejects_a_seed_outside_64_bits():
 def test_reverify_text_rejects_garbage():
     assert not reverify_text("not a certificate\n")
     assert not reverify_text("")
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(min_value=0),
+        st.one_of(st.sampled_from("0123456789 -=#:\n"), st.characters()),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutate(text, edits):
+    for op, pos, ch in edits:
+        pos %= len(text) + 1
+        if op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif pos < len(text):
+            text = text[:pos] + ("" if op == "delete" else ch) + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=_EDITS)
+def test_parsers_raise_only_format_error_on_mutated_text(fixture_certificate, edits):
+    for text in (certificate_to_text(fixture_certificate), fixture_certificate.coloring_text):
+        bad = _mutate(text, edits)
+        for parse in (certificate_from_text, EdgeColoring.from_text):
+            try:
+                parse(bad)
+            except FormatError:
+                pass
+        assert isinstance(reverify_text(bad), bool)
