@@ -11,14 +11,22 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from operator import mul
 from typing import Sequence
 
 from . import bounds as bounds_mod
 from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
-from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley, build_two_color
+from .coloring import (
+    ConstructionParams,
+    EdgeColoring,
+    build_field_coloring,
+    build_paley,
+    build_two_color,
+    field_provenance,
+)
 from .compose import blowup_product
-from .errors import ParameterError, ResourceCapError
-from .field import PrimeModulus, is_prime
+from .errors import ParameterError, RamseyLBError, ResourceCapError
+from .field import FieldVector, PrimeModulus, is_prime
 from .isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic, sample_distinct
 from .moment import (
     CERTIFICATE_MAGIC,
@@ -63,11 +71,20 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _construct_sample(
+    q: int, t: int, n: int, seed: int, cap: int
+) -> tuple[ConstructionParams, list[FieldVector]]:
+    """The parameters and vertices of ``construct``: n distinct ground-set
+    vectors of F_q^t, sampled under the seed."""
+    modulus = PrimeModulus(q)
+    ground = enumerate_isotropic(modulus, t, cap=cap)
+    verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "construct-sample")))
+    return ConstructionParams(modulus, t, seed, n), verts
+
+
 def _cmd_construct(args) -> int:
-    modulus = PrimeModulus(args.q)
-    ground = enumerate_isotropic(modulus, args.t, cap=_enum_cap(args))
-    verts = sample_distinct(ground, args.n, make_rng(derive_seed(args.seed, "construct-sample")))
-    coloring = build_field_coloring(ConstructionParams(modulus, args.t, args.seed, args.n), verts)
+    params, verts = _construct_sample(args.q, args.t, args.n, args.seed, _enum_cap(args))
+    coloring = build_field_coloring(params, verts)
     _write(coloring.to_text(), args.out)
     if args.out:
         print(f"construct: seed={args.seed} q={args.q} t={args.t} n={args.n} out={args.out}")
@@ -90,18 +107,66 @@ def _cmd_construct_paley(args) -> int:
     return 0
 
 
+def _named_construct(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
+    """(q, t, n, seed) of the ``construct`` run that the coloring's first
+    provenance line names, when its header agrees: n vertices, q + 1
+    colors and t >= 1.  Tying q to the header keeps the primality test of
+    q within the cost of searching the file's colors."""
+    named = field_provenance(coloring)
+    if named is None:
+        return None
+    q, t, n, seed = named
+    if n != coloring.n or q + 1 != coloring.num_colors or t < 1:
+        return None
+    return q, t, n, seed
+
+
+def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
+    """Whether every edge of a color c in [1, q-1] joins two of the
+    vectors ``construct`` samples for (q, t, n, seed) whose product is c.
+
+    Then each such color class holds only cliques of vectors with
+    pairwise product c, and t bounds their size (see
+    max_monochromatic_clique).  Any error while sampling means no.
+    """
+    try:
+        _, verts = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
+    except RamseyLBError:
+        return False
+    coords = [v.coords for v in verts]
+    for i, row in enumerate(coloring.rows):
+        ci = coords[i]
+        for j, c in enumerate(row, i + 1):
+            if c < q and sum(map(mul, ci, coords[j])) % q != c:
+                return False
+    return True
+
+
 def _cmd_verify(args) -> int:
     text = _read(args.coloring)
+    named = None
     if text.startswith(CERTIFICATE_MAGIC):
         coloring = EdgeColoring.from_text(certificate_from_text(text).coloring_text)
     else:
         coloring = EdgeColoring.from_text(text)
+        named = _named_construct(coloring)
     cap = _node_cap(args)
+    # The search of a deterministic color of a construct file stops at t.
+    # That bound is checked against the re-sampled vectors, once per file,
+    # only when a search reaches it; if it does not hold, the color is
+    # searched again without it.
+    trusted = None
     found = False
     if args.csv:
         print("color,size,witness")
     for color in range(1, coloring.num_colors + 1):
-        w = max_monochromatic_clique(coloring, color, cap=cap)
+        upper = named[1] if named and color < named[0] else None
+        w = max_monochromatic_clique(coloring, color, cap=cap, upper=upper)
+        if upper is not None and w.size >= upper:
+            if trusted is None:
+                trusted = _products_match(coloring, *named)
+            if not trusted:
+                w = max_monochromatic_clique(coloring, color, cap=cap)
         verts = " ".join(str(v) for v in w.vertices)
         if args.csv:
             print(f"{color},{w.size},{verts}")

@@ -81,11 +81,22 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
     return order
 
 
-def _max_clique_mask(adj: list[int], cap: int) -> int:
-    """Bitmask of one maximum clique, found deterministically."""
+class _ReachedUpper(Exception):
+    """The incumbent reached the caller's upper bound; the search ends."""
+
+
+def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
+    """Bitmask of one maximum clique, found deterministically.
+
+    With ``upper``, the search ends as soon as the incumbent has at least
+    ``upper`` vertices.  The incumbent changes only on a strict
+    improvement, so when ``upper`` bounds the clique number the result is
+    the full search's, reached after a prefix of its nodes.
+    """
     n = len(adj)
     if n == 0:
         return 0
+    stop = n + 1 if upper is None else upper
     best_size = 0
     best_mask = 0
     visited = 0
@@ -140,19 +151,41 @@ def _max_clique_mask(adj: list[int], cap: int) -> int:
                 elif size + 1 > best_size:
                     best_size = size + 1
                     best_mask = mask | vbit
+                    if best_size >= stop:
+                        raise _ReachedUpper
                 remaining ^= vbit
             bound -= 1
 
-    expand(0, 0, (1 << n) - 1)
+    try:
+        expand(0, 0, (1 << n) - 1)
+    except _ReachedUpper:
+        pass
     return best_mask
 
 
 def max_monochromatic_clique(
-    coloring: EdgeColoring, color: int, cap: int = DEFAULT_NODE_CAP
+    coloring: EdgeColoring, color: int, cap: int = DEFAULT_NODE_CAP, upper: int | None = None
 ) -> CliqueWitness:
-    """A maximum clique of the chosen color class, exact and deterministic."""
+    """A maximum clique of the chosen color class, exact and deterministic.
+
+    ``upper``, when given, must bound the class's clique number; the
+    search then stops once it has a clique of that size, and returns the
+    same witness as without it.  A wrong bound gives a wrong answer.
+
+    For a field coloring of self-orthogonal vectors in F_q^t with
+    t != 0 mod q, t bounds every deterministic color i in [1, q-1].  An
+    s-clique of color i has Gram matrix G = i(J - I), where J is the
+    all-ones s x s matrix: the vectors are self-orthogonal and their
+    pairwise products are i.  G is a product V V^T of s x t matrices, so
+    rank G <= t; and J has rank 1, so rank G >= s - 1, giving s <= t + 1.
+    At s = t + 1, det G = i^s (-1)^(s-1) (s - 1) = +-i^s t (see
+    clique_gram_det), which is nonzero mod q; then rank G = t + 1 > t, a
+    contradiction.  So s <= t.
+    """
     if not 1 <= color <= coloring.num_colors:
         raise ParameterError(f"color {color} outside [1, {coloring.num_colors}]")
+    if upper is not None and upper < 1:
+        raise ParameterError(f"upper bound {upper} must be positive")
     n = coloring.n
     adj = coloring.color_class_bitsets(color)
     order = _degeneracy_order(adj, n)
@@ -168,7 +201,7 @@ def max_monochromatic_clique(
             acc |= 1 << pos[low.bit_length() - 1]
             m ^= low
         radj[pos[v]] = acc
-    mask = _max_clique_mask(radj, cap)
+    mask = _max_clique_mask(radj, cap, upper)
     verts = []
     while mask:
         low = mask & -mask

@@ -207,6 +207,15 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
     return EdgeColoring(params.n, q + 1, tuple(rows), prov)
 
 
+def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
+    """(q, t, n, seed) from the provenance line build_field_coloring
+    writes, when it is the coloring's first line; otherwise None."""
+    if not coloring.provenance:
+        return None
+    m = re.fullmatch(r"field-coloring q=(\d+) t=(\d+) n=(\d+) seed=(\d+)", coloring.provenance[0])
+    return tuple(map(int, m.groups())) if m else None
+
+
 def sample_binary_vectors(length: int, n: int, seed: int) -> list[FieldVector]:
     """n distinct uniform vectors from F_2^length, rejection-sampled."""
     if length < 1:

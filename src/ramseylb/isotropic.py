@@ -73,19 +73,28 @@ def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVect
     return rng.sample(ground.vectors, n)
 
 
+def _float_threshold(p) -> float:
+    """The float f with x < f exactly when x < p, for every float x.
+
+    float(p) is a nearest float to p, so no float lies strictly between
+    the two: f is float(p), or, when float(p) rounded p down, the next
+    float up.  A float p is its own threshold.
+    """
+    f = float(p)
+    if f < p:
+        f = math.nextafter(f, 1)
+    return f
+
+
 def bernoulli_subset(ground: IsotropicSet, p, rng: Random) -> list[FieldVector]:
     """Retain each vector independently with probability p.
 
     One ``rng.random()`` per vector, kept when it is below p, compared
-    exactly.  float(p) is a nearest float to p, so no float lies strictly
-    between the two: a draw x is below p exactly when x < float(p), or,
-    when float(p) rounded p down, when x < the next float up.  So a
+    exactly through one float threshold (see _float_threshold), so a
     Fraction p costs one float comparison per draw, not one Fraction per
     draw.
     """
     if not 0 <= p <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
-    f = float(p)
-    if f < p:
-        f = math.nextafter(f, 1)
+    f = _float_threshold(p)
     return [v for v in ground.vectors if rng.random() < f]

@@ -35,6 +35,7 @@ from .field import FieldVector, PrimeModulus, dot
 from .isotropic import (
     DEFAULT_ENUM_CAP,
     IsotropicSet,
+    _float_threshold,
     bernoulli_subset,
     enumerate_isotropic,
     sample_distinct,
@@ -188,6 +189,9 @@ def monte_carlo_mono_count(
         raise ParameterError("need at least one trial")
     if not 0 <= p <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
+    # Every trial draws against the same float, whose comparisons equal
+    # those with p, and which bernoulli_subset takes as it is.
+    threshold = _float_threshold(p)
     ground = enumerate_isotropic(modulus, t, cap=enum_cap)
     cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
@@ -209,7 +213,7 @@ def monte_carlo_mono_count(
         scored.append((sum(1 << i for i in ids), pairs))
     counts = []
     for k in range(n_trials):
-        subset = bernoulli_subset(ground, p, make_rng(derive_seed(seed, "mc-subset", k)))
+        subset = bernoulli_subset(ground, threshold, make_rng(derive_seed(seed, "mc-subset", k)))
         kept = sum(1 << index[v.coords] for v in subset)
         coin_seed = derive_seed(seed, "mc-coins", k)
         # Each pair's coin is flipped at most once per trial, and a clique

@@ -2,10 +2,14 @@ import argparse
 import contextlib
 import io
 
+import pytest
+
 from ramseylb import cli
 from ramseylb.cli import DEFAULT_SEED, dispatch
+from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, build_paley
 from ramseylb.compose import blowup_product
+from ramseylb.errors import ResourceCapError
 from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
 
 
@@ -220,3 +224,108 @@ def test_usage_errors_go_to_the_current_stderr(capsys):
             assert run("frobnicate") == 2
         assert "invalid choice: 'frobnicate'" in buf.getvalue()
     assert capsys.readouterr().err == ""
+
+
+def verify_by_plain_search(col, target):
+    """verify's rc and stdout when no color search stops early."""
+    lines = []
+    found = False
+    for c in range(1, col.num_colors + 1):
+        w = max_monochromatic_clique(col, c)
+        lines.append(f"color {c}: max clique {w.size}, witness {' '.join(map(str, w.vertices))}")
+        found |= w.size >= target
+    lines.append(f"monochromatic clique of size >= {target}: {'found' if found else 'none'}")
+    return 1 if found else 0, "\n".join(lines) + "\n"
+
+
+def construct_file(tmp_path, q, t, n, seed):
+    out = tmp_path / f"c-{q}-{t}-{n}-{seed}.txt"
+    assert run("construct", "--q", str(q), "--t", str(t), "--n", str(n), "--seed", str(seed),
+               "--out", str(out)) == 0
+    return EdgeColoring.from_text(out.read_text())
+
+
+def assert_verify_is_plain_search(path, col, capsys):
+    capsys.readouterr()
+    for target in (3, 5):
+        rc = run("verify", "--coloring", str(path), "--target", str(target))
+        assert (rc, capsys.readouterr().out) == verify_by_plain_search(col, target)
+
+
+def test_verify_checks_the_gram_bound_once_and_only_when_reached(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = cli._products_match
+
+    def spy(coloring, *run_args):
+        calls.append(run_args)
+        return real(coloring, *run_args)
+
+    monkeypatch.setattr(cli, "_products_match", spy)
+    # Colors 1 and 2 of (3,4,33) reach t = 4; colors 1-4 of (5,4,145) stop at 3.
+    # assert_verify_is_plain_search runs verify twice.
+    for args, checks in [((3, 4, 33, 1), 2), ((2, 7, 60, 1), 2), ((5, 4, 145, 1), 0)]:
+        col = construct_file(tmp_path, *args)
+        calls.clear()
+        assert_verify_is_plain_search(tmp_path / "c-{}-{}-{}-{}.txt".format(*args), col, capsys)
+        assert calls == [args] * checks
+
+
+def rewrite(col, rows=None, num_colors=None, provenance=None):
+    return EdgeColoring(
+        col.n,
+        col.num_colors if num_colors is None else num_colors,
+        col.rows if rows is None else tuple(tuple(r) for r in rows),
+        col.provenance if provenance is None else provenance,
+    )
+
+
+def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_path, capsys):
+    col = construct_file(tmp_path, 3, 4, 33, 1)
+    k4 = max_monochromatic_clique(col, 1).vertices
+    assert len(k4) == 4
+    x = next(v for v in range(col.n) if v not in k4)
+    grown = [list(r) for r in col.rows]
+    for v in k4:
+        a, b = min(v, x), max(v, x)
+        grown[a][b - a - 1] = 1
+    one_edge = [list(r) for r in col.rows]
+    one_edge[0][one_edge[0].index(3)] = 1
+    swapped = [list(r) for r in col.rows]
+    swapped[0][swapped[0].index(1)] = 2
+    small = construct_file(tmp_path, 3, 4, 8, 2)
+    cases = {
+        # color 1 gains a K_5, which stopping at t = 4 would miss
+        "grown": rewrite(col, rows=grown),
+        "one-edge": rewrite(col, rows=one_edge),
+        "swapped": rewrite(col, rows=swapped),
+        "non-prime": rewrite(col, num_colors=5, provenance=("field-coloring q=4 t=4 n=33 seed=1",)),
+        "t-zero-mod-q": rewrite(col, provenance=("field-coloring q=3 t=3 n=33 seed=1",)),
+        # samples 8 of the 9 vectors of (3, 3); color 2 has a K_4 above t = 3
+        "t-zero-mod-q-sampled": rewrite(small, provenance=("field-coloring q=3 t=3 n=8 seed=2",)),
+        "more-colors": rewrite(col, num_colors=6),
+        "induced": col.induced(range(20)),
+        "permuted": col.induced(range(32, -1, -1)),
+        "composed": blowup_product(build_paley(5), col),
+    }
+    assert verify_by_plain_search(cases["grown"], 9)[1].startswith("color 1: max clique 5")
+    assert "color 2: max clique 4" in verify_by_plain_search(cases["t-zero-mod-q-sampled"], 9)[1]
+    assert cli._products_match(col, *cli._named_construct(col))
+    for name, edited in cases.items():
+        # Either the file names no construct run, or the check rejects it.
+        named = cli._named_construct(edited)
+        assert named is None or not cli._products_match(edited, *named), name
+        path = tmp_path / f"{name}.txt"
+        path.write_text(edited.to_text())
+        assert_verify_is_plain_search(path, edited, capsys)
+
+
+def test_verify_finishes_under_a_cap_the_plain_search_exceeds(tmp_path, capsys):
+    col = construct_file(tmp_path, 2, 11, 400, 1)
+    # Colors 2 and 3 take about 5,000 nodes, color 1 stops at t after 11
+    # and runs to about 900,000 without the stop.
+    with pytest.raises(ResourceCapError):
+        max_monochromatic_clique(col, 1, cap=10_000)
+    capsys.readouterr()
+    path = tmp_path / "c-2-11-400-1.txt"
+    assert run("verify", "--coloring", str(path), "--target", "12", "--cap", "10000") == 0
+    assert capsys.readouterr().out.startswith("color 1: max clique 11, witness ")

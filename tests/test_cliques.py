@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylb.cli import _construct_sample
 from ramseylb.cliques import (
     PotentialClique,
     _degeneracy_order,
@@ -21,7 +22,7 @@ from ramseylb.cliques import (
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.errors import ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot, rank
-from ramseylb.isotropic import enumerate_isotropic
+from ramseylb.isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic
 
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
 
@@ -161,6 +162,8 @@ def test_search_matches_first_fit_reference_and_cap_boundary():
         if nodes:
             with pytest.raises(ResourceCapError):
                 _max_clique_mask(adj, nodes - 1)
+            # Stopping at the clique number keeps the witness.
+            assert _max_clique_mask(adj, nodes, mask.bit_count()) == mask
 
 
 def reference_degeneracy_order(adj, n):
@@ -390,12 +393,54 @@ def test_ordered_counts_below_bounds_q2_t4():
 # ---------------------------------------------------------------------------
 
 def test_nonzero_color_cliques_never_exceed_t():
-    ground = enumerate_isotropic(M3, 4)
-    params = ConstructionParams(M3, 4, seed=77, n=len(ground))
-    col = build_field_coloring(params, ground.vectors)
-    for i in (1, 2):
-        w = max_monochromatic_clique(col, i)
-        assert w.size <= 4
-        # rank equals size when size != 1 mod q
-        if w.size % 3 != 1:
-            assert rank([ground.vectors[k] for k in w.vertices]) == w.size
+    """The Gram bound that verify stops at: on the whole ground set, the
+    plain search finds no clique above t in any color below q."""
+    for q, t in [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (5, 3), (5, 4), (7, 3),
+                 (7, 4), (11, 3), (13, 2), (13, 3)]:
+        modulus = PrimeModulus(q)
+        ground = enumerate_isotropic(modulus, t)
+        params = ConstructionParams(modulus, t, seed=77, n=len(ground))
+        col = build_field_coloring(params, ground.vectors)
+        for i in range(1, q):
+            w = max_monochromatic_clique(col, i)
+            assert w.size <= t
+            # rank equals size when size != 1 mod q
+            if w.size % q != 1:
+                assert rank([ground.vectors[k] for k in w.vertices]) == w.size
+
+
+def construct_coloring(q, t, n, seed):
+    """The coloring the construct subcommand writes for these arguments."""
+    return build_field_coloring(*_construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP))
+
+
+def test_search_stopped_at_t_returns_the_full_search_witness():
+    reached = 0
+    for q, t, n, seed in [(3, 4, 33, 1), (3, 4, 33, 271828), (2, 7, 60, 1), (3, 5, 60, 2),
+                          (5, 4, 145, 1), (7, 3, 30, 4), (11, 3, 40, 3), (2, 9, 200, 1)]:
+        col = construct_coloring(q, t, n, seed)
+        for c in range(1, q):
+            w = max_monochromatic_clique(col, c, upper=t)
+            assert w == max_monochromatic_clique(col, c)
+            reached += w.size == t
+    assert reached >= 8
+
+
+def test_stopped_search_fits_under_a_cap_the_full_search_exceeds():
+    col = construct_coloring(2, 9, 200, 1)
+    for cap in range(1, 100):
+        try:
+            w = max_monochromatic_clique(col, 1, cap=cap, upper=9)
+            break
+        except ResourceCapError:
+            pass
+    else:
+        pytest.fail("the search stopped at t = 9 needs 100 nodes or more")
+    assert w.size == 9
+    with pytest.raises(ResourceCapError):
+        max_monochromatic_clique(col, 1, cap=cap)
+
+
+def test_search_upper_bound_validated():
+    with pytest.raises(ParameterError):
+        max_monochromatic_clique(build_paley(5), 1, upper=0)

@@ -9,6 +9,7 @@ from ramseylb.coloring import (
     build_paley,
     build_two_color,
     dot_two_coloring,
+    field_provenance,
     pair_identity,
     sample_binary_vectors,
 )
@@ -93,6 +94,16 @@ def test_field_coloring_deterministic():
     vs = enumerate_isotropic(M3, 4).vectors[:12]
     params = ConstructionParams(M3, 4, seed=21, n=12)
     assert build_field_coloring(params, vs).to_text() == build_field_coloring(params, vs).to_text()
+
+
+def test_field_provenance_reads_what_the_build_writes():
+    vs = enumerate_isotropic(M3, 4).vectors[:12]
+    col = build_field_coloring(ConstructionParams(M3, 4, seed=2**64 - 1, n=12), vs)
+    assert field_provenance(col) == (3, 4, 12, 2**64 - 1)
+    assert field_provenance(EdgeColoring.from_text(col.to_text())) == (3, 4, 12, 2**64 - 1)
+    assert field_provenance(col.induced(range(5))) == (3, 4, 12, 2**64 - 1)
+    assert field_provenance(build_paley(13)) is None
+    assert field_provenance(EdgeColoring(2, 4, ((1,),))) is None
 
 
 def test_field_coloring_restriction_consistency():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -177,6 +178,31 @@ def test_monte_carlo_matches_per_clique_reference(q, t):
     for p in (0, 0.3, Fraction(1, 2), 1):
         for seed in (0, 1, 2**64 - 1):
             assert monte_carlo_mono_count(q, t, 12, p, seed) == reference_monte_carlo(q, t, 12, p, seed)
+
+
+def test_monte_carlo_estimates_are_pinned():
+    """SHA-256 of the estimates as they read when each draw was compared
+    with p itself, for float and Fraction p."""
+    h = hashlib.sha256()
+    for q, t in ((2, 4), (3, 4), (2, 5)):
+        for p in (0, 0.3, 0.5, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 10**30)):
+            for seed in (1, 2**64 - 1):
+                h.update(repr(monte_carlo_mono_count(q, t, 8, p, seed)).encode())
+    assert h.hexdigest() == "348f7dfe510feeb0edacde4a969a4c668ad3dfffc3df5b13b3f01a356a551243"
+
+
+def test_monte_carlo_draws_against_one_float_threshold(monkeypatch):
+    seen = []
+    real = moment.bernoulli_subset
+
+    def spy(ground, p, rng):
+        seen.append(p)
+        return real(ground, p, rng)
+
+    monkeypatch.setattr(moment, "bernoulli_subset", spy)
+    monte_carlo_mono_count(3, 4, 5, Fraction(1, 3), seed=1)
+    assert len(seen) == 5 and all(type(p) is float for p in seen)
+    assert len(set(seen)) == 1
 
 
 # ---------------------------------------------------------------------------
