@@ -22,11 +22,12 @@ counting bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mod, mul
 
 from .coloring import EdgeColoring
 from .errors import ParameterError, ResourceCapError
-from .field import FieldVector, PrimeModulus, _eliminate, is_prime, rank
+# rank is not called here; it stays bound because perfbench wraps ramseylb.cliques.rank.
+from .field import FieldVector, PrimeModulus, _eliminate, is_prime, rank  # noqa: F401
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
@@ -290,6 +291,17 @@ def enumerate_potential_cliques(
 
     Orthogonality-pruned backtracking in lexicographic order: candidates
     are restricted to vectors orthogonal to everything already chosen.
+
+    The vectors of a potential clique span a totally isotropic subspace W
+    of F_q^d, d the ground set's dimension: W lies in its orthogonal
+    complement, which has dimension d - dim W for the nondegenerate dot
+    product.  So every rank is at most min(t, d // 2).
+
+    Each rank is taken along the lexicographic order: a tuple shares a
+    prefix with the one before it, and the span of every proper prefix is
+    kept as its coordinate tuples and as the bitmask of the ground vectors
+    in it.  A new vector raises the rank exactly when its bit is not in
+    the span before it.
     """
     if not ground.exhaustive:
         raise ParameterError("potential-clique enumeration needs the exhaustive ground set")
@@ -300,18 +312,49 @@ def enumerate_potential_cliques(
     # IsotropicSet has checked that every vector shares the modulus and
     # dimension, so the products are taken on the coordinate tuples.
     coords = [v.coords for v in vecs]
-    prod = [[sum(map(mul, x, y)) % q for y in coords] for x in coords]
     orth = [
-        sum(1 << b for b, p in enumerate(row) if p == 0 and b != a)
-        for a, row in enumerate(prod)
+        sum(1 << b for b, y in enumerate(coords) if b != a and sum(map(mul, x, y)) % q == 0)
+        for a, x in enumerate(coords)
     ]
+    index = {x: i for i, x in enumerate(coords)}
+    qs = (q,) * ground.dimension
+
+    def entry(r, span):
+        """(rank, span, bitmask of the ground vectors in the span)."""
+        return r, span, sum(1 << index[x] for x in span if x in index)
+
+    def extend(prefix, k):
+        """The entry of a prefix with ground vector k appended."""
+        r, span, mask = prefix
+        if mask >> k & 1:
+            return prefix
+        multiples = [tuple(c * b % q for b in coords[k]) for c in range(q)]
+        # x + c * v for every x in the span and every c, coordinate-wise mod q.
+        span = [tuple(map(mod, map(add, x, m), qs)) for m in multiples for x in span]
+        return entry(r + 1, span)
+
+    stack = [entry(0, [(0,) * ground.dimension])]
+    # Vectors of the ground set are self-orthogonal and a clique's are
+    # pairwise orthogonal, so every Gram matrix is this one.
+    gram = tuple((0,) * t for _ in range(t))
+    bound = min(t, ground.dimension // 2)
     found: list[PotentialClique] = []
+    prev: tuple[int, ...] = ()
     for ids in _k_cliques(orth, t, cap, "potential-clique enumeration"):
-        vs = tuple(vecs[k] for k in ids)
-        g = tuple(tuple(prod[a][b] for b in ids) for a in ids)
-        r = rank(vs)
-        assert r <= t // 2
-        found.append(PotentialClique(vs, r, g))
+        j = 0
+        while j < len(prev) and ids[j] == prev[j]:
+            j += 1
+        # stack[i] is the entry of ids[:i] = prev[:i] for every i <= j.
+        del stack[j + 1 :]
+        for k in ids[j:-1]:
+            stack.append(extend(stack[-1], k))
+        # The last vector needs only its bit, not a span.
+        r, _, mask = stack[-1]
+        if not mask >> ids[-1] & 1:
+            r += 1
+        assert r <= bound
+        found.append(PotentialClique(tuple(vecs[k] for k in ids), r, gram))
+        prev = ids
     return found
 
 

@@ -61,6 +61,20 @@ def _check_clique_order(t: int) -> None:
         raise ParameterError(f"t={t}: a monochromatic clique needs t >= 2")
 
 
+def _clique_table(
+    ground: IsotropicSet, t: int, node_cap: int
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, list[tuple[int, int]]]]]:
+    """The ground set's index by coordinates, and each potential t-clique
+    as the bitmask of its ground-set indices with its C(t, 2) index pairs
+    (a, b), a < b, in lexicographic order."""
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    table = []
+    for c in enumerate_potential_cliques(ground, t, cap=node_cap):
+        ids = [index[v.coords] for v in c.vectors]
+        table.append((sum(1 << i for i in ids), list(itertools.combinations(ids, 2))))
+    return index, table
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Upper bound on the expected number of monochromatic potential cliques
@@ -117,19 +131,10 @@ def exact_mono_expectation(
     m = len(ground)
     if m > subset_cap:
         raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {subset_cap})")
-    cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
-    if not cliques:
+    _, table = _clique_table(ground, t, node_cap)
+    if not table:
         return Fraction(0)
-    index = {v.coords: i for i, v in enumerate(ground.vectors)}
-    clique_masks = []
-    clique_pairs = []
-    for c in cliques:
-        ids = sorted(index[v.coords] for v in c.vectors)
-        mask = 0
-        for i in ids:
-            mask |= 1 << i
-        clique_masks.append(mask)
-        clique_pairs.append([(a, b) for pos, a in enumerate(ids) for b in ids[pos + 1 :]])
+    clique_masks, clique_pairs = zip(*table)
     opairs = [
         (a, b)
         for a in range(m)
@@ -193,24 +198,20 @@ def monte_carlo_mono_count(
     # those with p, and which bernoulli_subset takes as it is.
     threshold = _float_threshold(p)
     ground = enumerate_isotropic(modulus, t, cap=enum_cap)
-    cliques = enumerate_potential_cliques(ground, t, cap=node_cap)
-    index = {v.coords: i for i, v in enumerate(ground.vectors)}
-    # Each clique as the bitmask of its ground-set indices and the indices
-    # of its C(t, 2) pairs into one table of pair_identity strings.
+    index, table = _clique_table(ground, t, node_cap)
+    # Each clique's pairs as indices into one table of pair_identity strings.
     pair_ids: list[str] = []
     pair_index: dict[tuple[int, int], int] = {}
     scored: list[tuple[int, list[int]]] = []
-    for c in cliques:
-        ids = [index[v.coords] for v in c.vectors]
-        pairs = []
-        for pos, a in enumerate(ids):
-            for b in ids[pos + 1 :]:
-                j = pair_index.get((a, b))
-                if j is None:
-                    j = pair_index[(a, b)] = len(pair_ids)
-                    pair_ids.append(pair_identity(ground.vectors[a], ground.vectors[b]))
-                pairs.append(j)
-        scored.append((sum(1 << i for i in ids), pairs))
+    for mask, pairs in table:
+        js = []
+        for a, b in pairs:
+            j = pair_index.get((a, b))
+            if j is None:
+                j = pair_index[(a, b)] = len(pair_ids)
+                pair_ids.append(pair_identity(ground.vectors[a], ground.vectors[b]))
+            js.append(j)
+        scored.append((mask, js))
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, threshold, make_rng(derive_seed(seed, "mc-subset", k)))

@@ -22,7 +22,7 @@ from ramseylb.cliques import (
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.errors import ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot, rank
-from ramseylb.isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic
+from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic
 
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
 
@@ -318,12 +318,46 @@ def reference_potential_cliques(ground, t):
     return found
 
 
-@pytest.mark.parametrize("q, t", [(3, 4), (3, 5), (2, 7), (5, 3)])
+@pytest.mark.parametrize(
+    "q, t",
+    [(3, 4), (3, 5), (2, 7), (5, 3), (2, 4), (2, 6), (5, 2), (7, 3), (11, 3), (13, 2), (3, 1)],
+)
 def test_potential_cliques_match_dot_reference(q, t):
     ground = enumerate_isotropic(PrimeModulus(q), t)
     got = enumerate_potential_cliques(ground, t)
     assert got
     assert got == reference_potential_cliques(ground, t)
+
+
+@pytest.mark.parametrize("q, d, s", [(2, 4, 1), (2, 4, 2), (2, 4, 3), (3, 4, 2), (3, 4, 3)])
+def test_potential_cliques_of_size_other_than_the_dimension(q, d, s):
+    """Ranks reach min(s, d // 2), not s // 2, when s differs from d."""
+    ground = enumerate_isotropic(PrimeModulus(q), d)
+    got = enumerate_potential_cliques(ground, s)
+    assert got == reference_potential_cliques(ground, s)
+    assert max(c.rank for c in got) == min(s, d // 2)
+
+
+def test_potential_clique_ranks_at_q5_t4_match_elimination():
+    """(5,4) mixes ranks 1 and 2; each rank is checked against rank()."""
+    ground = enumerate_isotropic(M5, 4)
+    cliques = enumerate_potential_cliques(ground, 4)
+    by_rank = {r: [c for c in cliques if c.rank == r] for r in (1, 2)}
+    assert len(by_rank[1]) == 180 and len(by_rank[2]) == 151440
+    assert all(rank(c.vectors) == 1 for c in by_rank[1])
+    assert all(rank(c.vectors) == 2 for c in by_rank[2][::97])
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_potential_cliques_of_a_ground_set_without_zero(s):
+    """A hand-built exhaustive set without the zero vector, so the empty
+    prefix's span holds no ground vector."""
+    full = enumerate_isotropic(M3, 4)
+    ground = IsotropicSet(M3, 4, full.vectors[1:], exhaustive=True)
+    got = enumerate_potential_cliques(ground, s)
+    assert got
+    assert got == reference_potential_cliques(ground, s)
+
 
 def test_potential_clique_structure():
     ground = enumerate_isotropic(M3, 4)
