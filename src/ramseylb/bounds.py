@@ -28,9 +28,10 @@ TAG_NEW_COMPOSITE = "new-composite"
 
 def as_slack(value: SlackLike) -> Fraction:
     """Exact rational slack; floats are read through their decimal repr."""
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+    try:
+        return Fraction(repr(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"slack {value!r} is not a finite rational") from exc
 
 
 def integer_root(n: int, k: int) -> int:

@@ -54,16 +54,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _enum_cap(args) -> int:
-    return args.cap if args.cap is not None else DEFAULT_ENUM_CAP
-
-
-def _node_cap(args) -> int:
-    return args.cap if args.cap is not None else DEFAULT_NODE_CAP
-
-
 def _cmd_enumerate(args) -> int:
-    ground = enumerate_isotropic(PrimeModulus(args.q), args.t, cap=_enum_cap(args))
+    ground = enumerate_isotropic(PrimeModulus(args.q), args.t, cap=args.cap)
     text = "".join(v.text_form() + "\n" for v in ground.vectors)
     _write(text, args.out)
     if args.out:
@@ -83,7 +75,7 @@ def _construct_sample(
 
 
 def _cmd_construct(args) -> int:
-    params, verts = _construct_sample(args.q, args.t, args.n, args.seed, _enum_cap(args))
+    params, verts = _construct_sample(args.q, args.t, args.n, args.seed, args.cap)
     coloring = build_field_coloring(params, verts)
     _write(coloring.to_text(), args.out)
     if args.out:
@@ -150,7 +142,6 @@ def _cmd_verify(args) -> int:
     else:
         coloring = EdgeColoring.from_text(text)
         named = _named_construct(coloring)
-    cap = _node_cap(args)
     # The search of a deterministic color of a construct file stops at t.
     # That bound is checked against the re-sampled vectors, once per file,
     # only when a search reaches it; if it does not hold, the color is
@@ -161,12 +152,12 @@ def _cmd_verify(args) -> int:
         print("color,size,witness")
     for color in range(1, coloring.num_colors + 1):
         upper = named[1] if named and color < named[0] else None
-        w = max_monochromatic_clique(coloring, color, cap=cap, upper=upper)
+        w = max_monochromatic_clique(coloring, color, cap=args.cap, upper=upper)
         if upper is not None and w.size >= upper:
             if trusted is None:
                 trusted = _products_match(coloring, *named)
             if not trusted:
-                w = max_monochromatic_clique(coloring, color, cap=cap)
+                w = max_monochromatic_clique(coloring, color, cap=args.cap)
         verts = " ".join(str(v) for v in w.vertices)
         if args.csv:
             print(f"{color},{w.size},{verts}")
@@ -188,7 +179,7 @@ def _cmd_certify(args) -> int:
         args.attempts,
         args.seed,
         jobs=args.jobs,
-        node_cap=_node_cap(args),
+        node_cap=args.cap,
     )
     if isinstance(result, WitnessSearchFailure):
         print(f"certify: seed={args.seed} no witness within {args.attempts} attempts")
@@ -253,32 +244,33 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=False, cap=False, seed=False, jobs=False, csv=False):
+    def common(sp, out=False, seed=False, jobs=False, csv=False):
         # Each subcommand registers only the options it reads, so an
         # ignored one is a usage error (exit 2) rather than a silent no-op.
         if out:
             sp.add_argument("--out", type=str, default=None, help="output file (default stdout)")
-        if cap:
-            sp.add_argument("--cap", type=int, default=None, help="enumeration/search node cap")
         if seed:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                             help=f"PRNG seed (default {DEFAULT_SEED})")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=1, help="parallel attempts")
+            sp.add_argument("--jobs", type=int, default=1,
+                            help="parallel attempts, at least 1; workers are capped at the cpu count")
         if csv:
             sp.add_argument("--csv", action="store_true", help="machine-readable output")
 
     sp = sub.add_parser("enumerate", help="list the self-orthogonal vectors of F_q^t")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    common(sp, out=True, cap=True)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
+    common(sp, out=True)
     sp.set_defaults(func=_cmd_enumerate)
 
     sp = sub.add_parser("construct", help="build the (q+1)-coloring on sampled vectors")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp, out=True, cap=True, seed=True)
+    sp.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="enumeration cap")
+    common(sp, out=True, seed=True)
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("construct-two-color", help="two-coloring of sampled binary vectors")
@@ -296,7 +288,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--coloring", type=str, required=True)
     sp.add_argument("--target", type=int, required=True,
                     help="exit 1 when any color reaches a clique of this size")
-    common(sp, cap=True, csv=True)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="search node cap")
+    common(sp, csv=True)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("certify", help="search for a witness coloring and emit a certificate")
@@ -304,7 +297,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--attempts", type=int, default=200)
-    common(sp, out=True, cap=True, seed=True, jobs=True)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="search node cap")
+    common(sp, out=True, seed=True, jobs=True)
     sp.set_defaults(func=_cmd_certify)
 
     sp = sub.add_parser("reverify", help="re-check a certificate from its stored fields")

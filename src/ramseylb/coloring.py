@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import CapacityError, DimensionError, FormatError, ParameterError
 from .field import FieldVector, PrimeModulus, is_isotropic, is_prime
@@ -62,11 +62,6 @@ class EdgeColoring:
         if i > j:
             i, j = j, i
         return self.rows[i][j - i - 1]
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        for i in range(self.n - 1):
-            for off, c in enumerate(self.rows[i]):
-                yield i, i + 1 + off, c
 
     def color_class_bitsets(self, color: int) -> list[int]:
         """Adjacency of the chosen color class as per-vertex bitmasks."""
@@ -118,18 +113,13 @@ class EdgeColoring:
             raw = lines[pos]
             provenance.append(raw[2:] if raw.startswith("# ") else raw[1:])
             pos += 1
-        data = lines[pos:]
-        if len(data) != n - 1:
-            raise FormatError(f"expected {n - 1} data lines, found {len(data)}")
         rows = []
-        for i, line in enumerate(data):
-            parts = line.split()
-            if len(parts) != n - 1 - i:
-                raise FormatError(f"data line {i + 1}: expected {n - 1 - i} colors, found {len(parts)}")
+        for i, line in enumerate(lines[pos:]):
             try:
-                rows.append(tuple(int(x) for x in parts))
+                rows.append(tuple(int(x) for x in line.split()))
             except ValueError as exc:
                 raise FormatError(f"non-integer color on data line {i + 1}") from exc
+        # The row and color counts are checked by __post_init__.
         try:
             return cls(n, num_colors, tuple(rows), tuple(provenance))
         except ParameterError as exc:
@@ -259,10 +249,6 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     Vertices are uniform over the whole space, with no self-orthogonality
     filter.
     """
-    if t < 1:
-        raise ParameterError("t must be positive")
-    if n < 2:
-        raise ParameterError("need at least two vertices")
     verts = sample_binary_vectors(2 * t, n, seed)
     return dot_two_coloring(verts, (f"two-color t={t} n={n} seed={seed}",))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, pa
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, dot
 from .isotropic import (
-    DEFAULT_ENUM_CAP,
     IsotropicSet,
     _float_threshold,
     bernoulli_subset,
@@ -43,6 +43,9 @@ from .isotropic import (
 from .rng import derive_seed, make_rng, pair_coin
 
 CERTIFICATE_MAGIC = "ramsey-certificate 1"
+
+# exact_mono_expectation enumerates every subset of the ground set.
+_SUBSET_CAP = 20
 
 
 def recommended_n(q: int, t: int, slack: SlackLike = 0) -> int:
@@ -62,14 +65,14 @@ def _check_clique_order(t: int) -> None:
 
 
 def _clique_table(
-    ground: IsotropicSet, t: int, node_cap: int
+    ground: IsotropicSet, t: int
 ) -> tuple[dict[tuple[int, ...], int], list[tuple[int, list[tuple[int, int]]]]]:
     """The ground set's index by coordinates, and each potential t-clique
     as the bitmask of its ground-set indices with its C(t, 2) index pairs
     (a, b), a < b, in lexicographic order."""
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
     table = []
-    for c in enumerate_potential_cliques(ground, t, cap=node_cap):
+    for c in enumerate_potential_cliques(ground, t):
         ids = [index[v.coords] for v in c.vectors]
         table.append((sum(1 << i for i in ids), list(itertools.combinations(ids, 2))))
     return index, table
@@ -107,31 +110,24 @@ def expected_mono_count(q: int, t: int, n: int, ground_size: int) -> MomentRepor
     return MomentReport(q, t, n, ground_size, p, expected, log2_expected)
 
 
-def exact_mono_expectation(
-    q: int,
-    t: int,
-    p: Union[Fraction, float, int],
-    subset_cap: int = 20,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> Fraction:
+def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fraction:
     """Exact expectation of surviving monochromatic potential cliques.
 
     Brute force: every subset of the ground set is enumerated with its
     Bernoulli weight, and for each subset every coin assignment on the
-    subset's orthogonal pairs is enumerated.  Exponential; guarded by
-    subset_cap.
+    subset's orthogonal pairs is enumerated.  Exponential; ground sets
+    above _SUBSET_CAP vectors raise ResourceCapError.
     """
     modulus = PrimeModulus(q)
     _check_clique_order(t)
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
-    ground = enumerate_isotropic(modulus, t, cap=enum_cap)
+    ground = enumerate_isotropic(modulus, t)
     m = len(ground)
-    if m > subset_cap:
-        raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {subset_cap})")
-    _, table = _clique_table(ground, t, node_cap)
+    if m > _SUBSET_CAP:
+        raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {_SUBSET_CAP})")
+    _, table = _clique_table(ground, t)
     if not table:
         return Fraction(0)
     clique_masks, clique_pairs = zip(*table)
@@ -180,8 +176,6 @@ def monte_carlo_mono_count(
     n_trials: int,
     p: Union[Fraction, float, int],
     seed: int,
-    enum_cap: int = DEFAULT_ENUM_CAP,
-    node_cap: int = DEFAULT_NODE_CAP,
 ) -> MonteCarloEstimate:
     """Empirical mean count of surviving monochromatic potential cliques.
 
@@ -197,8 +191,8 @@ def monte_carlo_mono_count(
     # Every trial draws against the same float, whose comparisons equal
     # those with p, and which bernoulli_subset takes as it is.
     threshold = _float_threshold(p)
-    ground = enumerate_isotropic(modulus, t, cap=enum_cap)
-    index, table = _clique_table(ground, t, node_cap)
+    ground = enumerate_isotropic(modulus, t)
+    index, table = _clique_table(ground, t)
     # Each clique's pairs as indices into one table of pair_identity strings.
     pair_ids: list[str] = []
     pair_index: dict[tuple[int, int], int] = {}
@@ -288,10 +282,6 @@ class WitnessCertificate:
     max_clique_sizes: tuple[int, ...]
     verdict: str
 
-    @property
-    def coloring(self) -> EdgeColoring:
-        return EdgeColoring.from_text(self.coloring_text)
-
 
 def attempt_seed(seed: int, attempt: int) -> int:
     """Seed of one search attempt: a stable hash of (master seed, index)."""
@@ -378,19 +368,19 @@ def _run_attempt(
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col.to_text(), sizes, "pass")
 
 
-def _pooled_attempts(q, t, ground, n, seed, attempts, jobs, node_cap):
-    """Outcomes of the attempt indices in ``attempts``, in order, run jobs
-    at a time in worker processes.
+def _pooled_attempts(q, t, ground, n, seed, attempts, workers, node_cap):
+    """Outcomes of the attempt indices in ``attempts``, in order, run
+    ``workers`` at a time in as many worker processes.
 
     Results are yielded in order and the caller stops at the first
     success, so an error in a later attempt of the same wave is dropped,
     as a sequential run would never have made that attempt.
     """
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for start in range(0, len(attempts), jobs):
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(attempts), workers):
             futures = [
                 pool.submit(_run_attempt, q, t, ground, n, seed, k, node_cap)
-                for k in attempts[start : start + jobs]
+                for k in attempts[start : start + workers]
             ]
             for fut in futures:
                 yield fut.result()
@@ -403,7 +393,6 @@ def find_witness(
     max_attempts: int,
     seed: int,
     jobs: int = 1,
-    enum_cap: int = DEFAULT_ENUM_CAP,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> WitnessCertificate | WitnessSearchFailure:
     """Search seeded attempts for a coloring of K_n whose every color
@@ -415,19 +404,20 @@ def find_witness(
     search and each max-clique search are capped at node_cap nodes.
 
     Attempts are independent given their derived seeds, so with jobs > 1
-    the attempts after the first run concurrently in a process pool,
-    started only once attempt 1 has failed in the calling process.  The
-    lowest successful attempt index always wins, making the outcome
-    identical to a sequential run.
+    the attempts after the first run concurrently in a process pool of
+    min(jobs, cpu count) workers, started only once attempt 1 has failed
+    in the calling process.  The lowest successful attempt index always
+    wins, making the outcome identical to a sequential run.
     """
     modulus = PrimeModulus(q)
-    if t < 1 or t % q == 0:
-        raise ParameterError(f"t={t} must be positive and nonzero mod q={q}")
-    if n < 2:
-        raise ParameterError("need at least two vertices")
+    # t and n are checked as every attempt's coloring checks them, before
+    # the ground set's enumeration cap.
+    ConstructionParams(modulus, t, seed, n)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
-    ground = enumerate_isotropic(modulus, t, cap=enum_cap)
+    if jobs < 1:
+        raise ParameterError("need at least one job")
+    ground = enumerate_isotropic(modulus, t)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
     # Attempt 1 runs in this process, and the generator's pool starts only
@@ -436,10 +426,11 @@ def find_witness(
     # a win at an even attempt k > 1 with jobs = 2 takes one attempt longer
     # than waves of jobs counted from attempt 1 would.
     later = range(2, max_attempts + 1)
-    if jobs <= 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
         rest = (_run_attempt(q, t, ground, n, seed, k, node_cap) for k in later)
     else:
-        rest = _pooled_attempts(q, t, ground, n, seed, later, jobs, node_cap)
+        rest = _pooled_attempts(q, t, ground, n, seed, later, workers, node_cap)
     outcomes = itertools.chain([_run_attempt(q, t, ground, n, seed, 1, node_cap)], rest)
     failures: list[AttemptFailure] = []
     for outcome in outcomes:
@@ -457,8 +448,6 @@ def reverify(cert: WitnessCertificate) -> bool:
         if cert.num_colors != cert.q + 1:
             return False
         if cert.verdict != "pass":
-            return False
-        if len(cert.vectors) != cert.n:
             return False
         sk = attempt_seed(cert.seed, cert.attempt)
         params = ConstructionParams(modulus, cert.t, sk, cert.n)

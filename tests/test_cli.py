@@ -117,8 +117,15 @@ def test_bounds_csv(capsys):
 
 
 def test_parameter_error_exit_code(capsys):
-    assert run("construct-paley", "--p", "7") == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in [
+        ("construct-paley", "--p", "7"),
+        ("bounds", "--t", "4", "--colors", "3", "--slack", "abc"),
+        ("bounds", "--t", "4", "--colors", "3", "--slack", "1/0"),
+        ("certify", "--q", "3", "--t", "4", "--n", "14", "--jobs", "0"),
+        ("certify", "--q", "3", "--t", "4", "--n", "14", "--jobs", "-3"),
+    ]:
+        assert run(*argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_resource_cap_exit_code(capsys):

@@ -210,7 +210,9 @@ def test_search_agrees_with_networkx_clique_number(col):
     for color in range(1, col.num_colors + 1):
         g = nx.Graph()
         g.add_nodes_from(range(col.n))
-        g.add_edges_from((i, j) for i, j, c in col.pairs() if c == color)
+        g.add_edges_from(
+            (i, j) for i, row in enumerate(col.rows) for j, c in enumerate(row, i + 1) if c == color
+        )
         w = max_monochromatic_clique(col, color)
         assert w.size == max(len(c) for c in nx.find_cliques(g))
         assert all(col.color(a, b) == color for a, b in itertools.combinations(w.vertices, 2))

@@ -25,6 +25,13 @@ def fv(modulus, *coords):
     return FieldVector(modulus, tuple(coords))
 
 
+def edges(col):
+    """(i, j, color) of every edge i < j, read from the rows."""
+    for i, row in enumerate(col.rows):
+        for j, c in enumerate(row, i + 1):
+            yield i, j, c
+
+
 # ---------------------------------------------------------------------------
 # the color of one pair: the construction on two vertices
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def test_field_coloring_color_rule_on_full_ground_set():
     params = ConstructionParams(M2, 5, seed=11, n=len(vs))
     col = build_field_coloring(params, vs)
     assert col.num_colors == 3
-    for i, j, c in col.pairs():
+    for i, j, c in edges(col):
         d = dot(vs[i], vs[j])
         if d != 0:
             assert c == d
@@ -144,7 +151,7 @@ def test_field_coloring_matches_per_pair_reference(q, t, n):
 
 def reference_bitsets(col, color):
     adj = [0] * col.n
-    for i, j, c in col.pairs():
+    for i, j, c in edges(col):
         if c == color:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
@@ -187,7 +194,7 @@ def test_field_coloring_input_validation():
 def test_two_color_rule_matches_dot():
     verts = sample_binary_vectors(8, 20, seed=5)
     col = dot_two_coloring(verts)
-    for i, j, c in col.pairs():
+    for i, j, c in edges(col):
         assert c == (1 if dot(verts[i], verts[j]) == 0 else 2)
 
 
@@ -215,6 +222,10 @@ def test_two_color_capacity():
     with pytest.raises(CapacityError):
         build_two_color(1, 5, seed=0)  # 2^2 = 4 < 5
     assert build_two_color(1, 4, seed=0).n == 4
+    with pytest.raises(ParameterError):
+        build_two_color(0, 5, seed=0)
+    with pytest.raises(ParameterError):
+        build_two_color(3, 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +235,7 @@ def test_two_color_capacity():
 def test_paley_5_is_the_pentagon():
     col = build_paley(5)
     cycle = {frozenset(((i, (i + 1) % 5))) for i in range(5)}
-    for i, j, c in col.pairs():
+    for i, j, c in edges(col):
         assert c == (1 if frozenset((i, j)) in cycle else 2)
 
 

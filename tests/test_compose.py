@@ -31,8 +31,8 @@ def test_k2_times_k2_is_matching_plus_crossings():
 
 def test_edge_counts_3_by_2():
     prod = blowup_product(single_color_complete(3), single_color_complete(2))
-    inner_edges = sum(1 for _, _, c in prod.pairs() if c == 2)
-    outer_edges = sum(1 for _, _, c in prod.pairs() if c == 1)
+    inner_edges = sum(row.count(2) for row in prod.rows)
+    outer_edges = sum(row.count(1) for row in prod.rows)
     assert inner_edges == 3  # n1 * C(n2, 2)
     assert outer_edges == 12  # C(n1, 2) * n2^2
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import statistics
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,7 @@ def test_find_witness_success_roundtrip(fixture_certificate):
     assert cert.verdict == "pass"
     assert reverify(cert)
     # stored sizes match an independent recount on the stored coloring
-    col = cert.coloring
+    col = EdgeColoring.from_text(cert.coloring_text)
     for color in range(1, 5):
         assert max_monochromatic_clique(col, color).size == cert.max_clique_sizes[color - 1]
 
@@ -237,8 +238,16 @@ def test_find_witness_failure_reports_diagnostics():
 def test_find_witness_validation():
     with pytest.raises(ParameterError):
         find_witness(2, 4, 4, 5, seed=0)  # t = 0 mod q
+    with pytest.raises(ParameterError):
+        # t = 0 mod q is checked before the 2^40-vector enumeration cap
+        find_witness(2, 40, 3, 1, seed=0)
+    with pytest.raises(ParameterError):
+        find_witness(3, 4, 1, 5, seed=0)
     with pytest.raises(CapacityError):
         find_witness(3, 4, 34, 5, seed=0)
+    for jobs in (0, -3):
+        with pytest.raises(ParameterError):
+            find_witness(3, 4, 14, 5, seed=0, jobs=jobs)
 
 
 def test_find_witness_parallel_matches_sequential():
@@ -255,7 +264,7 @@ def test_find_witness_kept_coloring_has_no_monochromatic_t_subset(n, seed):
     # checked without the branch-and-bound clique solver.
     cert = find_witness(3, 4, n, 200, seed)
     assert isinstance(cert, WitnessCertificate)
-    col = cert.coloring
+    col = EdgeColoring.from_text(cert.coloring_text)
     for sub in itertools.combinations(range(n), 4):
         colors = {col.color(a, b) for a, b in itertools.combinations(sub, 2)}
         assert len(colors) > 1, f"monochromatic 4-subset {sub}"
@@ -281,6 +290,40 @@ def test_find_witness_starts_no_pool_when_attempt_one_wins(monkeypatch):
     par = find_witness(3, 4, 20, 200, seed=271828, jobs=2)
     assert par == seq
     assert certificate_to_text(par) == certificate_to_text(seq)
+
+
+def test_find_witness_caps_pool_workers_at_the_cpu_count(monkeypatch):
+    # (3, 4, 33) fails every attempt, so attempts 2 to 4 reach the pool
+    seq = find_witness(3, 4, 33, 4, seed=1)
+    assert isinstance(seq, WitnessSearchFailure)
+    sizes = []
+
+    class InlinePool:
+        """Runs each submitted attempt at once and records the pool size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(moment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(moment.os, "cpu_count", lambda: 3)
+    for jobs in (2, 100_000):
+        assert find_witness(3, 4, 33, 4, seed=1, jobs=jobs) == seq
+    assert sizes == [2, 3]
+    # an unknown cpu count means one worker, which runs in this process
+    monkeypatch.setattr(moment.os, "cpu_count", lambda: None)
+    assert find_witness(3, 4, 33, 4, seed=1, jobs=100_000) == seq
+    assert sizes == [2, 3]
 
 
 def test_hitting_set_is_exact_against_subset_listing():
