@@ -99,20 +99,6 @@ def _cmd_construct_paley(args) -> int:
     return 0
 
 
-def _named_construct(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
-    """(q, t, n, seed) of the ``construct`` run that the coloring's first
-    provenance line names, when its header agrees: n vertices, q + 1
-    colors and t >= 1.  Tying q to the header keeps the primality test of
-    q within the cost of searching the file's colors."""
-    named = field_provenance(coloring)
-    if named is None:
-        return None
-    q, t, n, seed = named
-    if n != coloring.n or q + 1 != coloring.num_colors or t < 1:
-        return None
-    return q, t, n, seed
-
-
 def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
     """Whether every edge of a color c in [1, q-1] joins two of the
     vectors ``construct`` samples for (q, t, n, seed) whose product is c.
@@ -141,7 +127,7 @@ def _cmd_verify(args) -> int:
         coloring = EdgeColoring.from_text(certificate_from_text(text).coloring_text)
     else:
         coloring = EdgeColoring.from_text(text)
-        named = _named_construct(coloring)
+        named = field_provenance(coloring)
     # The search of a deterministic color of a construct file stops at t.
     # That bound is checked against the re-sampled vectors, once per file,
     # only when a search reaches it; if it does not hold, the color is
@@ -214,11 +200,14 @@ def _cmd_compose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     t, colors = args.t, args.colors
+    # Checked for every table, also those with no row that reads it; the
+    # header echoes the text as given.
+    slack = bounds_mod.as_slack(args.slack)
     records = [bounds_mod.baseline_bound(t, colors)]
     if colors >= 3:
-        records.append(bounds_mod.new_bound(t, colors, args.slack))
+        records.append(bounds_mod.new_bound(t, colors, slack))
         if colors >= 5 and is_prime(colors - 1):
-            records.append(bounds_mod.field_bound(t, colors - 1, args.slack))
+            records.append(bounds_mod.field_bound(t, colors - 1, slack))
     value_cap = 10**60
     rows = []
     for rec in records:

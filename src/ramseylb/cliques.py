@@ -287,7 +287,7 @@ class PotentialClique:
 def enumerate_potential_cliques(
     ground: IsotropicSet, t: int, cap: int = DEFAULT_NODE_CAP
 ) -> list[PotentialClique]:
-    """All t-subsets of the exhaustive ground set with pairwise product zero.
+    """All t-subsets of the ground set with pairwise product zero.
 
     Orthogonality-pruned backtracking in lexicographic order: candidates
     are restricted to vectors orthogonal to everything already chosen.
@@ -301,10 +301,10 @@ def enumerate_potential_cliques(
     prefix with the one before it, and the span of every proper prefix is
     kept as its coordinate tuples and as the bitmask of the ground vectors
     in it.  A new vector raises the rank exactly when its bit is not in
-    the span before it.
+    the span before it.  Span vectors outside the ground set get no bit
+    and only ground vectors are asked about, so the ground set may be any
+    IsotropicSet, not only the full one.
     """
-    if not ground.exhaustive:
-        raise ParameterError("potential-clique enumeration needs the exhaustive ground set")
     if t < 1:
         raise ParameterError("clique size must be positive")
     vecs = ground.vectors

@@ -83,9 +83,13 @@ class EdgeColoring:
             raise ParameterError("subset must be non-empty")
         if len(set(idx)) != len(idx):
             raise ParameterError("duplicate vertex in subset")
+        if not all(0 <= i < self.n for i in idx):
+            raise ParameterError(f"vertex index outside [0, {self.n})")
         k = len(idx)
+        full = self.rows
         rows = tuple(
-            tuple(self.color(idx[a], idx[b]) for b in range(a + 1, k)) for a in range(k - 1)
+            tuple(full[i][j - i - 1] if i < j else full[j][i - j - 1] for j in idx[a + 1 :])
+            for a, i in enumerate(idx[:-1])
         )
         note = f"induced on {k} of {self.n} vertices"
         return EdgeColoring(k, self.num_colors, rows, self.provenance + (note,))
@@ -199,11 +203,19 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
 
 def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
     """(q, t, n, seed) from the provenance line build_field_coloring
-    writes, when it is the coloring's first line; otherwise None."""
+    writes, when it is the coloring's first line and the header agrees
+    with it: n vertices, q + 1 colors and t >= 1; otherwise None.  Tying
+    q to the header keeps a primality test of q within the cost of
+    searching the coloring's colors."""
     if not coloring.provenance:
         return None
     m = re.fullmatch(r"field-coloring q=(\d+) t=(\d+) n=(\d+) seed=(\d+)", coloring.provenance[0])
-    return tuple(map(int, m.groups())) if m else None
+    if not m:
+        return None
+    q, t, n, seed = map(int, m.groups())
+    if n != coloring.n or q + 1 != coloring.num_colors or t < 1:
+        return None
+    return q, t, n, seed
 
 
 def sample_binary_vectors(length: int, n: int, seed: int) -> list[FieldVector]:

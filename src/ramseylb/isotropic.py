@@ -15,19 +15,13 @@ DEFAULT_ENUM_CAP = 10**6
 
 @dataclass(frozen=True)
 class IsotropicSet:
-    """An ordered, duplicate-free collection of self-orthogonal vectors.
-
-    ``exhaustive`` marks the full ground set for (q, t); only then do the
-    cardinality bounds q^(t-2) <= count <= q^t apply.
-    """
+    """An ordered, duplicate-free collection of self-orthogonal vectors."""
 
     modulus: PrimeModulus
     dimension: int
     vectors: tuple[FieldVector, ...]
-    exhaustive: bool
 
     def __post_init__(self) -> None:
-        q = self.modulus.q
         seen: set[tuple[int, ...]] = set()
         for v in self.vectors:
             if v.modulus != self.modulus or len(v) != self.dimension:
@@ -37,13 +31,6 @@ class IsotropicSet:
             if v.coords in seen:
                 raise ParameterError(f"duplicate vector in ground set: {v.coords}")
             seen.add(v.coords)
-        if self.exhaustive:
-            count = len(self.vectors)
-            full = q**self.dimension
-            if not (count * q * q >= full and count <= full):
-                raise ParameterError(
-                    f"exhaustive set of size {count} violates cardinality bounds for q={q}, t={self.dimension}"
-                )
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -54,14 +41,16 @@ def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_C
     q = modulus.q
     if t < 1:
         raise ParameterError("dimension t must be positive")
-    if q**t > cap:
-        raise ResourceCapError(f"q^t = {q**t} exceeds enumeration cap {cap}")
+    # q^t >= 2^t exceeds the cap when t passes its bit length; the power
+    # is neither computed then nor ever written out in full.
+    if t > cap.bit_length() or q**t > cap:
+        raise ResourceCapError(f"q^t = {q}^{t} exceeds enumeration cap {cap}")
     vectors = [
         FieldVector(modulus, coords)
         for coords in itertools.product(range(q), repeat=t)
         if sum(c * c for c in coords) % q == 0
     ]
-    return IsotropicSet(modulus, t, tuple(vectors), exhaustive=True)
+    return IsotropicSet(modulus, t, tuple(vectors))
 
 
 def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVector]:

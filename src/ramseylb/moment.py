@@ -32,7 +32,7 @@ from .cliques import (
 )
 from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
-from .field import FieldVector, PrimeModulus, dot
+from .field import FieldVector, PrimeModulus
 from .isotropic import (
     IsotropicSet,
     _float_threshold,
@@ -66,16 +66,23 @@ def _check_clique_order(t: int) -> None:
 
 def _clique_table(
     ground: IsotropicSet, t: int
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, list[tuple[int, int]]]]]:
-    """The ground set's index by coordinates, and each potential t-clique
-    as the bitmask of its ground-set indices with its C(t, 2) index pairs
-    (a, b), a < b, in lexicographic order."""
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int]], list[tuple[int, list[int]]]]:
+    """The ground set's index by coordinates; the distinct index pairs
+    (a, b), a < b, of all potential t-cliques, each once; and each
+    potential clique as the bitmask of its ground-set indices with the
+    positions of its C(t, 2) pairs in that list.
+
+    A clique is monochromatic when the coins on its pairs agree, so these
+    pairs are all that either estimator flips.
+    """
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    position: dict[tuple[int, int], int] = {}
     table = []
     for c in enumerate_potential_cliques(ground, t):
         ids = [index[v.coords] for v in c.vectors]
-        table.append((sum(1 << i for i in ids), list(itertools.combinations(ids, 2))))
-    return index, table
+        js = [position.setdefault(pr, len(position)) for pr in itertools.combinations(ids, 2)]
+        table.append((sum(1 << i for i in ids), js))
+    return index, list(position), table
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
 
     Brute force: every subset of the ground set is enumerated with its
     Bernoulli weight, and for each subset every coin assignment on the
-    subset's orthogonal pairs is enumerated.  Exponential; ground sets
+    pairs of its surviving potential cliques.  Exponential; ground sets
     above _SUBSET_CAP vectors raise ResourceCapError.
     """
     modulus = PrimeModulus(q)
@@ -127,39 +134,35 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
     m = len(ground)
     if m > _SUBSET_CAP:
         raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {_SUBSET_CAP})")
-    _, table = _clique_table(ground, t)
+    _, _, table = _clique_table(ground, t)
     if not table:
         return Fraction(0)
-    clique_masks, clique_pairs = zip(*table)
-    opairs = [
-        (a, b)
-        for a in range(m)
-        for b in range(a + 1, m)
-        if dot(ground.vectors[a], ground.vectors[b]) == 0
-    ]
+    # Each clique as its ground mask and its pairs as a mask of table positions.
+    cliques = [(mask, sum(1 << j for j in js)) for mask, js in table]
     total = Fraction(0)
     for smask in range(1 << m):
-        live = [ci for ci, cm in enumerate(clique_masks) if cm & smask == cm]
+        live = [pb for cm, pb in cliques if cm & smask == cm]
         if not live:
             continue
-        bits = smask.bit_count()
-        wsub = pf**bits * (1 - pf) ** (m - bits)
-        sub_pairs = [pr for pr in opairs if smask >> pr[0] & 1 and smask >> pr[1] & 1]
-        z = len(sub_pairs)
-        pos_of = {pr: j for j, pr in enumerate(sub_pairs)}
-        live_bits = []
-        for ci in live:
-            acc = 0
-            for pr in clique_pairs[ci]:
-                acc |= 1 << pos_of[pr]
-            live_bits.append(acc)
+        # A coin on a pair no live clique uses doubles both the count and
+        # the number of assignments, so only the used pairs are flipped:
+        # each submask of used is one assignment of their coins.
+        used = 0
+        for pb in live:
+            used |= pb
         mono_total = 0
-        for coins in range(1 << z):
-            for pb in live_bits:
+        coins = used
+        while True:
+            for pb in live:
                 masked = coins & pb
                 if masked == 0 or masked == pb:
                     mono_total += 1
-        total += wsub * Fraction(mono_total, 2**z)
+            if not coins:
+                break
+            coins = (coins - 1) & used
+        bits = smask.bit_count()
+        wsub = pf**bits * (1 - pf) ** (m - bits)
+        total += wsub * Fraction(mono_total, 2 ** used.bit_count())
     return total
 
 
@@ -192,20 +195,8 @@ def monte_carlo_mono_count(
     # those with p, and which bernoulli_subset takes as it is.
     threshold = _float_threshold(p)
     ground = enumerate_isotropic(modulus, t)
-    index, table = _clique_table(ground, t)
-    # Each clique's pairs as indices into one table of pair_identity strings.
-    pair_ids: list[str] = []
-    pair_index: dict[tuple[int, int], int] = {}
-    scored: list[tuple[int, list[int]]] = []
-    for mask, pairs in table:
-        js = []
-        for a, b in pairs:
-            j = pair_index.get((a, b))
-            if j is None:
-                j = pair_index[(a, b)] = len(pair_ids)
-                pair_ids.append(pair_identity(ground.vectors[a], ground.vectors[b]))
-            js.append(j)
-        scored.append((mask, js))
+    index, pairs, table = _clique_table(ground, t)
+    pair_ids = [pair_identity(ground.vectors[a], ground.vectors[b]) for a, b in pairs]
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, threshold, make_rng(derive_seed(seed, "mc-subset", k)))
@@ -215,11 +206,11 @@ def monte_carlo_mono_count(
         # stops being scored at its first coin that differs from the others.
         coins: list[int | None] = [None] * len(pair_ids)
         cnt = 0
-        for mask, pairs in scored:
+        for mask, js in table:
             if kept & mask != mask:
                 continue
             first = None
-            for j in pairs:
+            for j in js:
                 coin = coins[j]
                 if coin is None:
                     coin = coins[j] = pair_coin(coin_seed, pair_ids[j])

@@ -7,7 +7,7 @@ import pytest
 from ramseylb import cli
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
-from ramseylb.coloring import EdgeColoring, build_paley
+from ramseylb.coloring import EdgeColoring, build_paley, field_provenance
 from ramseylb.compose import blowup_product
 from ramseylb.errors import ResourceCapError
 from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
@@ -121,6 +121,9 @@ def test_parameter_error_exit_code(capsys):
         ("construct-paley", "--p", "7"),
         ("bounds", "--t", "4", "--colors", "3", "--slack", "abc"),
         ("bounds", "--t", "4", "--colors", "3", "--slack", "1/0"),
+        # checked even where no row of the table reads it
+        ("bounds", "--t", "4", "--colors", "2", "--slack", "abc"),
+        ("bounds", "--t", "4", "--colors", "2", "--slack", "1/0", "--csv"),
         ("certify", "--q", "3", "--t", "4", "--n", "14", "--jobs", "0"),
         ("certify", "--q", "3", "--t", "4", "--n", "14", "--jobs", "-3"),
     ]:
@@ -130,6 +133,11 @@ def test_parameter_error_exit_code(capsys):
 
 def test_resource_cap_exit_code(capsys):
     assert run("enumerate", "--q", "2", "--t", "30", "--cap", "1000") == 3
+    assert capsys.readouterr().err == "error: q^t = 2^30 exceeds enumeration cap 1000\n"
+    # q^t has more digits than an int converts to text, and is not computed
+    for t in (10**4, 10**6):
+        assert run("enumerate", "--q", "3", "--t", str(t)) == 3, t
+        assert capsys.readouterr().err.startswith(f"error: q^t = 3^{t} exceeds")
 
 
 def test_unread_options_are_rejected(tmp_path, capsys):
@@ -316,10 +324,10 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
     }
     assert verify_by_plain_search(cases["grown"], 9)[1].startswith("color 1: max clique 5")
     assert "color 2: max clique 4" in verify_by_plain_search(cases["t-zero-mod-q-sampled"], 9)[1]
-    assert cli._products_match(col, *cli._named_construct(col))
+    assert cli._products_match(col, *field_provenance(col))
     for name, edited in cases.items():
         # Either the file names no construct run, or the check rejects it.
-        named = cli._named_construct(edited)
+        named = field_provenance(edited)
         assert named is None or not cli._products_match(edited, *named), name
         path = tmp_path / f"{name}.txt"
         path.write_text(edited.to_text())

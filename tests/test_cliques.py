@@ -352,10 +352,10 @@ def test_potential_clique_ranks_at_q5_t4_match_elimination():
 
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_potential_cliques_of_a_ground_set_without_zero(s):
-    """A hand-built exhaustive set without the zero vector, so the empty
-    prefix's span holds no ground vector."""
+    """A hand-built set without the zero vector, so the empty prefix's
+    span holds no ground vector."""
     full = enumerate_isotropic(M3, 4)
-    ground = IsotropicSet(M3, 4, full.vectors[1:], exhaustive=True)
+    ground = IsotropicSet(M3, 4, full.vectors[1:])
     got = enumerate_potential_cliques(ground, s)
     assert got
     assert got == reference_potential_cliques(ground, s)
@@ -369,11 +369,11 @@ def test_potential_clique_structure():
         assert rank(c.vectors) == c.rank
 
 
-def test_potential_cliques_need_exhaustive_set():
-    ground = enumerate_isotropic(M3, 4)
-    partial = type(ground)(ground.modulus, 4, ground.vectors[:10], exhaustive=False)
-    with pytest.raises(ParameterError):
-        enumerate_potential_cliques(partial, 4)
+def test_potential_cliques_of_part_of_the_ground_set():
+    """Any isotropic set is enumerated, here the first 10 of 33 vectors."""
+    full = enumerate_isotropic(M3, 4)
+    partial = IsotropicSet(M3, 4, full.vectors[:10])
+    assert enumerate_potential_cliques(partial, 4) == reference_potential_cliques(partial, 4)
 
 
 def test_potential_cliques_node_cap():

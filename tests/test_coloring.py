@@ -108,7 +108,8 @@ def test_field_provenance_reads_what_the_build_writes():
     col = build_field_coloring(ConstructionParams(M3, 4, seed=2**64 - 1, n=12), vs)
     assert field_provenance(col) == (3, 4, 12, 2**64 - 1)
     assert field_provenance(EdgeColoring.from_text(col.to_text())) == (3, 4, 12, 2**64 - 1)
-    assert field_provenance(col.induced(range(5))) == (3, 4, 12, 2**64 - 1)
+    # an induced coloring keeps the line, but not the n it names
+    assert field_provenance(col.induced(range(5))) is None
     assert field_provenance(build_paley(13)) is None
     assert field_provenance(EdgeColoring(2, 4, ((1,),))) is None
 
@@ -296,3 +297,6 @@ def test_induced_validation():
         col.induced([])
     with pytest.raises(ParameterError):
         col.induced([0, 0, 1])
+    for bad in ([0, -1], [-1, 2], [5, 0], [0, 1, 99], [7]):
+        with pytest.raises(ParameterError):
+            col.induced(bad)

@@ -33,7 +33,6 @@ def brute_count(q, t):
 def test_enumerate_q2_t3_exact_members():
     vs = enumerate_isotropic(M2, 3)
     assert [v.coords for v in vs.vectors] == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
-    assert vs.exhaustive
 
 
 def test_enumerate_q2_t1_only_zero():
@@ -71,10 +70,10 @@ def test_enumerate_cap_guard():
 
 def test_isotropic_set_validation():
     with pytest.raises(ParameterError):
-        IsotropicSet(M3, 4, (FieldVector(M3, (1, 0, 0, 0)),), exhaustive=False)
+        IsotropicSet(M3, 4, (FieldVector(M3, (1, 0, 0, 0)),))
     v = FieldVector(M3, (0, 0, 0, 0))
     with pytest.raises(ParameterError):
-        IsotropicSet(M3, 4, (v, v), exhaustive=False)
+        IsotropicSet(M3, 4, (v, v))
 
 
 def test_sample_distinct_properties():

@@ -14,7 +14,7 @@ from ramseylb import moment
 from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
-from ramseylb.field import PrimeModulus
+from ramseylb.field import PrimeModulus, dot
 from ramseylb.isotropic import bernoulli_subset, enumerate_isotropic
 from ramseylb.moment import (
     MonteCarloEstimate,
@@ -138,6 +138,65 @@ def test_exact_expectation_other_p():
 def test_exact_expectation_guard():
     with pytest.raises(ResourceCapError):
         exact_mono_expectation(3, 4, Fraction(1, 2))  # 33 vectors >> subset cap
+
+
+def test_exact_expectation_q3_t3_matches_analytic_product():
+    # 4 potential cliques in a ground set of 9; survival p^3; monochromatic 2^(1-3)
+    exact = exact_mono_expectation(3, 3, Fraction(1, 2))
+    assert exact == 4 * Fraction(1, 8) * Fraction(1, 4) == Fraction(1, 8)
+
+
+def reference_exact_mono_expectation(q, t, p):
+    """The exact estimator before it took its pairs from the clique table:
+    for each subset, every coin assignment on all of its orthogonal pairs,
+    found by a scan with dot."""
+    pf = Fraction(p)
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    m = len(ground)
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    table = []
+    for c in enumerate_potential_cliques(ground, t):
+        ids = [index[v.coords] for v in c.vectors]
+        table.append((sum(1 << i for i in ids), list(itertools.combinations(ids, 2))))
+    if not table:
+        return Fraction(0)
+    clique_masks, clique_pairs = zip(*table)
+    opairs = [
+        (a, b)
+        for a in range(m)
+        for b in range(a + 1, m)
+        if dot(ground.vectors[a], ground.vectors[b]) == 0
+    ]
+    total = Fraction(0)
+    for smask in range(1 << m):
+        live = [ci for ci, cm in enumerate(clique_masks) if cm & smask == cm]
+        if not live:
+            continue
+        bits = smask.bit_count()
+        wsub = pf**bits * (1 - pf) ** (m - bits)
+        sub_pairs = [pr for pr in opairs if smask >> pr[0] & 1 and smask >> pr[1] & 1]
+        z = len(sub_pairs)
+        pos_of = {pr: j for j, pr in enumerate(sub_pairs)}
+        live_bits = []
+        for ci in live:
+            acc = 0
+            for pr in clique_pairs[ci]:
+                acc |= 1 << pos_of[pr]
+            live_bits.append(acc)
+        mono_total = 0
+        for coins in range(1 << z):
+            for pb in live_bits:
+                masked = coins & pb
+                if masked == 0 or masked == pb:
+                    mono_total += 1
+        total += wsub * Fraction(mono_total, 2**z)
+    return total
+
+
+@pytest.mark.parametrize("q, t", [(2, 3), (2, 4), (3, 3)])
+def test_exact_expectation_matches_all_pairs_reference(q, t):
+    for p in (0, Fraction(1, 4), Fraction(1, 3), 0.3, Fraction(1, 2), 1):
+        assert exact_mono_expectation(q, t, p) == reference_exact_mono_expectation(q, t, p)
 
 
 def test_monte_carlo_agrees_with_exact_q2_t4():
