@@ -4,7 +4,6 @@ lower bounds built from self-orthogonal vectors over prime fields."""
 from .bounds import (
     BoundRecord,
     baseline_bound,
-    baseline_crossover,
     field_bound,
     floor_power_product,
     growth_rate,
@@ -17,7 +16,6 @@ from .cliques import (
     clique_gram_det,
     enumerate_potential_cliques,
     max_monochromatic_clique,
-    potential_clique_bound,
     rank_count_bound,
 )
 from .coloring import (
@@ -54,14 +52,12 @@ from .isotropic import (
     sample_distinct,
 )
 from .moment import (
-    MomentReport,
     MonteCarloEstimate,
     WitnessCertificate,
     WitnessSearchFailure,
     certificate_from_text,
     certificate_to_text,
     exact_mono_expectation,
-    expected_mono_count,
     find_witness,
     monte_carlo_mono_count,
     recommended_n,

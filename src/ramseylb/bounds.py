@@ -153,17 +153,3 @@ def growth_rate(record: BoundRecord) -> float:
     if record.t < 1:
         raise ParameterError("growth rate needs t >= 1")
     return 2.0 ** (record.log2_value / record.t)
-
-
-def baseline_crossover(colors: int, t_max: int = 128, slack: SlackLike = 0) -> int | None:
-    """Smallest t0 with new_bound >= baseline_bound for all t in [t0, t_max].
-
-    Found by scanning, not assumed; None when even t_max fails.
-    """
-    t0 = None
-    for t in range(t_max, 0, -1):
-        if new_bound(t, colors, slack).value >= baseline_bound(t, colors).value:
-            t0 = t
-        else:
-            break
-    return t0

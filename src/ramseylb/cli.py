@@ -25,7 +25,7 @@ from .coloring import (
     field_provenance,
 )
 from .compose import blowup_product
-from .errors import ParameterError, RamseyLBError, ResourceCapError
+from .errors import FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, is_prime
 from .isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic, sample_distinct
 from .moment import (
@@ -51,7 +51,10 @@ def _write(text: str, out: str | None) -> None:
 
 def _read(path: str) -> str:
     with open(path, encoding="ascii") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not ASCII text") from exc
 
 
 def _cmd_enumerate(args) -> int:

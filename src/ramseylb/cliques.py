@@ -371,10 +371,3 @@ def rank_count_bound(q: int, t: int, r: int) -> int:
     exponent = 2 * t * r - r * (3 * r - 1) // 2
     assert exponent >= 0
     return q**exponent
-
-
-def potential_clique_bound(q: int, t: int) -> int:
-    """Sum of the per-rank bounds over the feasible ranks 0..floor(t/2)."""
-    if t < 1:
-        raise ParameterError("t must be positive")
-    return sum(rank_count_bound(q, t, r) for r in range(t // 2 + 1))

@@ -19,7 +19,8 @@ from operator import mul
 from typing import Sequence
 
 from .errors import CapacityError, DimensionError, FormatError, ParameterError
-from .field import FieldVector, PrimeModulus, is_isotropic, is_prime
+from .field import FieldVector, PrimeModulus, is_prime
+from .isotropic import IsotropicSet
 from .rng import derive_seed, make_rng, pair_coin
 
 FORMAT_MAGIC = "ramsey-coloring 1"
@@ -52,16 +53,6 @@ class EdgeColoring:
             for c in row:
                 if not 1 <= c <= self.num_colors:
                     raise ParameterError(f"color {c} outside [1, {self.num_colors}]")
-
-    def color(self, i: int, j: int) -> int:
-        """Color of the edge {i, j}; symmetric in its arguments."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ParameterError(f"vertex index outside [0, {self.n})")
-        if i == j:
-            raise ParameterError("self-loops are not colored")
-        if i > j:
-            i, j = j, i
-        return self.rows[i][j - i - 1]
 
     def color_class_bitsets(self, color: int) -> list[int]:
         """Adjacency of the chosen color class as per-vertex bitmasks."""
@@ -167,15 +158,8 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
     q = params.modulus.q
     if len(verts) != params.n:
         raise ParameterError(f"got {len(verts)} vertices, params say n={params.n}")
-    seen: set[tuple[int, ...]] = set()
-    for v in verts:
-        if v.modulus != params.modulus or len(v) != params.t:
-            raise DimensionError("vertex does not match the construction's modulus or dimension")
-        if not is_isotropic(v):
-            raise ParameterError(f"vertex is not self-orthogonal: {v.coords}")
-        if v.coords in seen:
-            raise ParameterError(f"duplicate vertex: {v.coords}")
-        seen.add(v.coords)
+    # Modulus and dimension, self-orthogonality, no duplicates, per vertex.
+    IsotropicSet(params.modulus, params.t, tuple(verts))
     # The pair loop works on coordinate tuples and text forms computed
     # once per vertex.  A nonzero product is the color; a zero product
     # flips the coin keyed by pair_identity's string, the two text forms

@@ -16,13 +16,16 @@ def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
     n1, n2 = outer.n, inner.n
     shift = outer.num_colors
     n = n1 * n2
+    # x < y gives a <= a2, and b < b2 when a == a2, so each read is
+    # rows[lo][hi - lo - 1].
+    outer_rows, inner_rows = outer.rows, inner.rows
     rows = []
     for x in range(n - 1):
         a, b = divmod(x, n2)
         row = []
         for y in range(x + 1, n):
             a2, b2 = divmod(y, n2)
-            row.append(outer.color(a, a2) if a != a2 else shift + inner.color(b, b2))
+            row.append(outer_rows[a][a2 - a - 1] if a != a2 else shift + inner_rows[b][b2 - b - 1])
         rows.append(tuple(row))
     note = (
         f"blowup outer(n={n1} colors={outer.num_colors}) "

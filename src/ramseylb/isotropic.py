@@ -27,9 +27,9 @@ class IsotropicSet:
             if v.modulus != self.modulus or len(v) != self.dimension:
                 raise DimensionError("vector does not match the set's modulus or dimension")
             if not is_isotropic(v):
-                raise ParameterError(f"non-self-orthogonal vector in ground set: {v.coords}")
+                raise ParameterError(f"vector is not self-orthogonal: {v.coords}")
             if v.coords in seen:
-                raise ParameterError(f"duplicate vector in ground set: {v.coords}")
+                raise ParameterError(f"duplicate vector: {v.coords}")
             seen.add(v.coords)
 
     def __len__(self) -> int:

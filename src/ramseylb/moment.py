@@ -1,10 +1,10 @@
-"""First-moment accounting for monochromatic potential cliques and the
-seeded search for witness colorings.
+"""First moments of monochromatic potential cliques and the seeded
+search for witness colorings.
 
-The moment report is an upper bound since it uses the per-rank counting
-bound in place of the true potential-clique count.  An exact enumerator
-and a Monte Carlo estimator exist alongside it so the analytic pieces
-can be cross-checked by independent computation at small sizes.
+The expected number of potential cliques that survive a Bernoulli(p)
+subset with all their coins agreeing is computed two ways, exactly by
+brute force over a small ground set and by Monte Carlo sampling, so each
+cross-checks the other at small sizes.
 
 Witness certificates are self-contained: the stored seed, attempt index
 and vertex list reproduce the coloring byte for byte, so a verifier
@@ -28,7 +28,6 @@ from .cliques import (
     enumerate_potential_cliques,
     max_monochromatic_clique,
     monochromatic_cliques,
-    potential_clique_bound,
 )
 from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
@@ -83,38 +82,6 @@ def _clique_table(
         js = [position.setdefault(pr, len(position)) for pr in itertools.combinations(ids, 2)]
         table.append((sum(1 << i for i in ids), js))
     return index, list(position), table
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Upper bound on the expected number of monochromatic potential cliques
-    after keeping each ground-set vector with probability p = 2n/|V|."""
-
-    q: int
-    t: int
-    n: int
-    ground_size: int
-    p: Fraction
-    expected_upper: Fraction
-    log2_expected: float
-
-
-def expected_mono_count(q: int, t: int, n: int, ground_size: int) -> MomentReport:
-    """Moment report at p = 2n/ground_size; fails when p would exceed 1."""
-    PrimeModulus(q)
-    _check_clique_order(t)
-    if n < 1 or ground_size < 1:
-        raise ParameterError("n and the ground size must be positive")
-    p = Fraction(2 * n, ground_size)
-    if p > 1:
-        raise ParameterError(f"n={n} too large for a ground set of size {ground_size}")
-    bound = potential_clique_bound(q, t)
-    pairs = math.comb(t, 2)
-    expected = p**t * Fraction(2) ** (1 - pairs) * bound
-    log2_expected = (
-        t * (math.log2(p.numerator) - math.log2(p.denominator)) + (1 - pairs) + math.log2(bound)
-    )
-    return MomentReport(q, t, n, ground_size, p, expected, log2_expected)
 
 
 def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fraction:

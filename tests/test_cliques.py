@@ -16,7 +16,6 @@ from ramseylb.cliques import (
     enumerate_potential_cliques,
     max_monochromatic_clique,
     monochromatic_cliques,
-    potential_clique_bound,
     rank_count_bound,
 )
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
@@ -27,12 +26,18 @@ from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotrop
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
 
 
+def edge_color(col, i, j):
+    """Color of the edge {i, j}, read from the rows."""
+    i, j = min(i, j), max(i, j)
+    return col.rows[i][j - i - 1]
+
+
 def brute_max_clique(col, color):
     """Oracle: exhaustive subset check, feasible up to n ~ 12."""
     n = col.n
     for size in range(n, 1, -1):
         for sub in itertools.combinations(range(n), size):
-            if all(col.color(a, b) == color for a, b in itertools.combinations(sub, 2)):
+            if all(edge_color(col, a, b) == color for a, b in itertools.combinations(sub, 2)):
                 return size
     return 1
 
@@ -58,7 +63,7 @@ def test_search_agrees_with_brute_force_up_to_12_vertices():
             w = max_monochromatic_clique(col, color)
             assert w.size == brute_max_clique(col, color)
             for a, b in itertools.combinations(w.vertices, 2):
-                assert col.color(a, b) == color
+                assert edge_color(col, a, b) == color
 
 
 def test_unused_color_gives_single_vertex():
@@ -215,7 +220,7 @@ def test_search_agrees_with_networkx_clique_number(col):
         )
         w = max_monochromatic_clique(col, color)
         assert w.size == max(len(c) for c in nx.find_cliques(g))
-        assert all(col.color(a, b) == color for a, b in itertools.combinations(w.vertices, 2))
+        assert all(edge_color(col, a, b) == color for a, b in itertools.combinations(w.vertices, 2))
 
 
 def test_monochromatic_cliques_match_subset_listing():
@@ -226,7 +231,7 @@ def test_monochromatic_cliques_match_subset_listing():
     expected = []
     for color in range(1, 5):
         for sub in itertools.combinations(range(col.n), 4):
-            if all(col.color(a, b) == color for a, b in itertools.combinations(sub, 2)):
+            if all(edge_color(col, a, b) == color for a, b in itertools.combinations(sub, 2)):
                 expected.append((color, sub))
     assert [(w.color, w.vertices) for w in listed] == expected
     with pytest.raises(ResourceCapError):
@@ -397,12 +402,6 @@ def test_rank_count_bound_validation():
         rank_count_bound(4, 4, 1)
     with pytest.raises(ParameterError):
         rank_count_bound(3, 4, 5)
-
-
-def test_potential_clique_bound_sum_and_monotone():
-    assert potential_clique_bound(3, 4) == 1 + 3**7 + 3**11
-    values = [potential_clique_bound(2, t) for t in range(2, 9)]
-    assert values == sorted(values)
 
 
 def ordered_rank_r_count(cliques, r):

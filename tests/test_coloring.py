@@ -18,7 +18,7 @@ from ramseylb.field import FieldVector, PrimeModulus, dot
 from ramseylb.isotropic import enumerate_isotropic, sample_distinct
 from ramseylb.rng import derive_seed, make_rng, pair_coin
 
-M2, M3 = PrimeModulus(2), PrimeModulus(3)
+M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
 
 
 def fv(modulus, *coords):
@@ -32,13 +32,19 @@ def edges(col):
             yield i, j, c
 
 
+def edge_color(col, i, j):
+    """Color of the edge {i, j}, read from the rows."""
+    i, j = min(i, j), max(i, j)
+    return col.rows[i][j - i - 1]
+
+
 # ---------------------------------------------------------------------------
 # the color of one pair: the construction on two vertices
 # ---------------------------------------------------------------------------
 
 def pair_color(u, v, seed):
     params = ConstructionParams(u.modulus, len(u), seed, n=2)
-    return build_field_coloring(params, [u, v]).color(0, 1)
+    return build_field_coloring(params, [u, v]).rows[0][0]
 
 
 def test_nonzero_product_color_is_seed_independent():
@@ -179,13 +185,17 @@ def test_field_coloring_input_validation():
     params = ConstructionParams(M3, 4, seed=0, n=5)
     with pytest.raises(ParameterError):
         build_field_coloring(params, vs[:4])
-    with pytest.raises(ParameterError):
-        build_field_coloring(params, vs[:4] + [vs[0]])
-    # the per-vertex checks here are the only ones the pair loop relies on
-    with pytest.raises(ParameterError):
-        build_field_coloring(params, vs[:4] + [fv(M3, 1, 0, 0, 0)])
-    with pytest.raises(DimensionError):
-        build_field_coloring(params, vs[:4] + [fv(M3, 0, 0, 0)])
+    # the per-vertex checks here are the only ones the pair loop relies on:
+    # another dimension or modulus is a DimensionError, checked first
+    for bad in (fv(M3, 0, 0, 0), fv(M3, 1, 0, 0), fv(M5, 0, 0, 0, 0)):
+        with pytest.raises(DimensionError):
+            build_field_coloring(params, vs[:4] + [bad])
+    # a duplicate or a non-self-orthogonal vertex is a ParameterError of
+    # its own, not a DimensionError
+    for bad in (vs[0], fv(M3, 1, 0, 0, 0)):
+        with pytest.raises(ParameterError) as info:
+            build_field_coloring(params, vs[:4] + [bad])
+        assert not isinstance(info.value, DimensionError)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,11 @@ def test_two_color_determinism_and_symmetry():
     a = build_two_color(4, 40, seed=6)
     b = build_two_color(4, 40, seed=6)
     assert a.to_text() == b.to_text()
-    assert a.color(3, 17) == a.color(17, 3)
+    # the rule reads a pair the same way in either order
+    verts = sample_binary_vectors(8, 40, seed=6)
+    rev = dot_two_coloring(verts[::-1])
+    for i, j, c in edges(dot_two_coloring(verts)):
+        assert edge_color(rev, 39 - i, 39 - j) == c
 
 
 def test_two_color_capacity():
@@ -259,10 +273,7 @@ def test_paley_rejects_3_mod_4_and_composites():
 
 def test_coloring_accessor_and_validation():
     col = EdgeColoring(3, 2, ((1, 2), (2,)))
-    assert col.color(0, 1) == 1
-    assert col.color(2, 0) == 2
-    with pytest.raises(ParameterError):
-        col.color(1, 1)
+    assert list(edges(col)) == [(0, 1, 1), (0, 2, 2), (1, 2, 2)]
     with pytest.raises(ParameterError):
         EdgeColoring(3, 2, ((1, 3), (2,)))  # color out of range
     with pytest.raises(ParameterError):

@@ -17,16 +17,50 @@ def random_coloring(rng, n, num_colors):
     return EdgeColoring(n, num_colors, rows)
 
 
+def edge_color(col, i, j):
+    """Color of the edge {i, j}, read from the rows."""
+    i, j = min(i, j), max(i, j)
+    return col.rows[i][j - i - 1]
+
+
+def reference_blowup_color(outer, inner, x, y):
+    """Color of {x, y} in the product, read through the symmetric
+    accessor per pair: the outer color across copies, the shifted inner
+    color inside one."""
+    a, b = divmod(x, inner.n)
+    a2, b2 = divmod(y, inner.n)
+    if a != a2:
+        return edge_color(outer, a, a2)
+    return outer.num_colors + edge_color(inner, b, b2)
+
+
 def test_k2_times_k2_is_matching_plus_crossings():
     k2 = single_color_complete(2)
     prod = blowup_product(k2, k2)
     assert prod.n == 4
     assert prod.num_colors == 2
     # blocks {0,1} and {2,3} carry the shifted inner color
-    assert prod.color(0, 1) == 2
-    assert prod.color(2, 3) == 2
+    assert edge_color(prod, 0, 1) == 2
+    assert edge_color(prod, 2, 3) == 2
     for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)):
-        assert prod.color(i, j) == 1
+        assert edge_color(prod, i, j) == 1
+
+
+def test_blowup_matches_edge_by_edge_reference():
+    rng = random.Random(12)
+    factors = [(build_paley(5), build_paley(13)), (build_paley(13), build_paley(5))]
+    for _ in range(20):
+        n1, n2 = rng.sample(range(1, 9), 2)
+        factors.append(
+            (random_coloring(rng, n1, rng.choice([1, 2, 3])), random_coloring(rng, n2, rng.choice([1, 2])))
+        )
+    for outer, inner in factors:
+        prod = blowup_product(outer, inner)
+        assert prod.n == outer.n * inner.n
+        assert prod.num_colors == outer.num_colors + inner.num_colors
+        for x, row in enumerate(prod.rows):
+            for y, c in enumerate(row, x + 1):
+                assert c == reference_blowup_color(outer, inner, x, y)
 
 
 def test_edge_counts_3_by_2():

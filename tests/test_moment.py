@@ -25,7 +25,6 @@ from ramseylb.moment import (
     certificate_from_text,
     certificate_to_text,
     exact_mono_expectation,
-    expected_mono_count,
     find_witness,
     monte_carlo_mono_count,
     recommended_n,
@@ -67,52 +66,13 @@ def test_recommended_n_validation():
         recommended_n(3, -1)
 
 
-# ---------------------------------------------------------------------------
-# moment report
-# ---------------------------------------------------------------------------
-
-def test_expected_mono_count_exact_value():
-    # q=2, t=4, n=2, |V|=8: p = 1/2; bound = 1 + 2^7 + 2^11 = 2177
-    rep = expected_mono_count(2, 4, 2, 8)
-    assert rep.p == Fraction(1, 2)
-    assert rep.expected_upper == Fraction(2177, 512)
-    assert abs(rep.log2_expected - (4 * -1 + (1 - 6) + 11.088)) < 0.01
-
-
 def test_moment_estimators_need_t_at_least_two():
     # a one-vector clique has no pairs, so no coins and no color
     for t in (0, 1):
         with pytest.raises(ParameterError):
-            expected_mono_count(3, t, 1, 3)
-        with pytest.raises(ParameterError):
             exact_mono_expectation(3, t, Fraction(1, 2))
         with pytest.raises(ParameterError):
             monte_carlo_mono_count(3, t, 10, Fraction(1, 2), seed=1)
-
-
-def test_expected_mono_count_monotone_in_n():
-    values = [expected_mono_count(3, 4, n, 100).expected_upper for n in range(1, 50)]
-    assert values == sorted(values)
-
-
-def test_expected_mono_count_p_above_one_rejected():
-    with pytest.raises(ParameterError):
-        expected_mono_count(3, 4, 51, 100)
-
-
-def test_log2_matches_recomputation():
-    import math
-
-    from ramseylb.cliques import potential_clique_bound
-
-    for q, t, n, size in [(2, 4, 2, 8), (3, 4, 10, 33), (5, 4, 44, 145)]:
-        rep = expected_mono_count(q, t, n, size)
-        recomputed = (
-            t * (math.log2(rep.p.numerator) - math.log2(rep.p.denominator))
-            + (1 - math.comb(t, 2))
-            + math.log2(potential_clique_bound(q, t))
-        )
-        assert abs(rep.log2_expected - recomputed) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +285,7 @@ def test_find_witness_kept_coloring_has_no_monochromatic_t_subset(n, seed):
     assert isinstance(cert, WitnessCertificate)
     col = EdgeColoring.from_text(cert.coloring_text)
     for sub in itertools.combinations(range(n), 4):
-        colors = {col.color(a, b) for a, b in itertools.combinations(sub, 2)}
+        colors = {col.rows[a][b - a - 1] for a, b in itertools.combinations(sub, 2)}
         assert len(colors) > 1, f"monochromatic 4-subset {sub}"
 
 
