@@ -284,13 +284,29 @@ class PotentialClique:
     gram: tuple[tuple[int, ...], ...]
 
 
+def _orthogonal_tuples(ground: IsotropicSet, t: int, cap: int) -> list[tuple[int, ...]]:
+    """The ground-set indices of every t-subset with pairwise product
+    zero, as ascending tuples in lexicographic order.
+
+    Orthogonality-pruned backtracking: candidates are restricted to
+    vectors orthogonal to everything already chosen.
+    """
+    q = ground.modulus.q
+    # IsotropicSet has checked that every vector shares the modulus and
+    # dimension, so the products are taken on the coordinate tuples.
+    coords = [v.coords for v in ground.vectors]
+    orth = [
+        sum(1 << b for b, y in enumerate(coords) if b != a and sum(map(mul, x, y)) % q == 0)
+        for a, x in enumerate(coords)
+    ]
+    return _k_cliques(orth, t, cap, "potential-clique enumeration")
+
+
 def enumerate_potential_cliques(
     ground: IsotropicSet, t: int, cap: int = DEFAULT_NODE_CAP
 ) -> list[PotentialClique]:
-    """All t-subsets of the ground set with pairwise product zero.
-
-    Orthogonality-pruned backtracking in lexicographic order: candidates
-    are restricted to vectors orthogonal to everything already chosen.
+    """All t-subsets of the ground set with pairwise product zero, in
+    the lexicographic order of _orthogonal_tuples.
 
     The vectors of a potential clique span a totally isotropic subspace W
     of F_q^d, d the ground set's dimension: W lies in its orthogonal
@@ -309,13 +325,7 @@ def enumerate_potential_cliques(
         raise ParameterError("clique size must be positive")
     vecs = ground.vectors
     q = ground.modulus.q
-    # IsotropicSet has checked that every vector shares the modulus and
-    # dimension, so the products are taken on the coordinate tuples.
     coords = [v.coords for v in vecs]
-    orth = [
-        sum(1 << b for b, y in enumerate(coords) if b != a and sum(map(mul, x, y)) % q == 0)
-        for a, x in enumerate(coords)
-    ]
     index = {x: i for i, x in enumerate(coords)}
     qs = (q,) * ground.dimension
 
@@ -340,7 +350,7 @@ def enumerate_potential_cliques(
     bound = min(t, ground.dimension // 2)
     found: list[PotentialClique] = []
     prev: tuple[int, ...] = ()
-    for ids in _k_cliques(orth, t, cap, "potential-clique enumeration"):
+    for ids in _orthogonal_tuples(ground, t, cap):
         j = 0
         while j < len(prev) and ids[j] == prev[j]:
             j += 1

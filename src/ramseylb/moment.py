@@ -23,8 +23,11 @@ from fractions import Fraction
 from typing import Union
 
 from .bounds import SlackLike, as_slack, floor_power_product
-from .cliques import (
+# enumerate_potential_cliques is not called here; it stays bound because
+# perfbench wraps ramseylb.moment.enumerate_potential_cliques.
+from .cliques import (  # noqa: F401
     DEFAULT_NODE_CAP,
+    _orthogonal_tuples,
     enumerate_potential_cliques,
     max_monochromatic_clique,
     monochromatic_cliques,
@@ -65,23 +68,21 @@ def _check_clique_order(t: int) -> None:
 
 def _clique_table(
     ground: IsotropicSet, t: int
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, int]], list[tuple[int, list[int]]]]:
-    """The ground set's index by coordinates; the distinct index pairs
-    (a, b), a < b, of all potential t-cliques, each once; and each
-    potential clique as the bitmask of its ground-set indices with the
+) -> tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]:
+    """The distinct index pairs (a, b), a < b, of all potential t-cliques,
+    each once; and each potential clique, in the lexicographic order of
+    its ground-set indices, as the bitmask of those indices with the
     positions of its C(t, 2) pairs in that list.
 
     A clique is monochromatic when the coins on its pairs agree, so these
     pairs are all that either estimator flips.
     """
-    index = {v.coords: i for i, v in enumerate(ground.vectors)}
     position: dict[tuple[int, int], int] = {}
     table = []
-    for c in enumerate_potential_cliques(ground, t):
-        ids = [index[v.coords] for v in c.vectors]
+    for ids in _orthogonal_tuples(ground, t, DEFAULT_NODE_CAP):
         js = [position.setdefault(pr, len(position)) for pr in itertools.combinations(ids, 2)]
         table.append((sum(1 << i for i in ids), js))
-    return index, list(position), table
+    return list(position), table
 
 
 def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fraction:
@@ -94,14 +95,16 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
     """
     modulus = PrimeModulus(q)
     _check_clique_order(t)
-    pf = Fraction(p)
-    if not 0 <= pf <= 1:
+    # Compared before the conversion, which raises ValueError for NaN and
+    # OverflowError for an infinity.
+    if not 0 <= p <= 1:
         raise ParameterError(f"probability {p} outside [0, 1]")
+    pf = Fraction(p)
     ground = enumerate_isotropic(modulus, t)
     m = len(ground)
     if m > _SUBSET_CAP:
         raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {_SUBSET_CAP})")
-    _, _, table = _clique_table(ground, t)
+    _, table = _clique_table(ground, t)
     if not table:
         return Fraction(0)
     # Each clique as its ground mask and its pairs as a mask of table positions.
@@ -162,20 +165,37 @@ def monte_carlo_mono_count(
     # those with p, and which bernoulli_subset takes as it is.
     threshold = _float_threshold(p)
     ground = enumerate_isotropic(modulus, t)
-    index, pairs, table = _clique_table(ground, t)
+    pairs, table = _clique_table(ground, t)
     pair_ids = [pair_identity(ground.vectors[a], ground.vectors[b]) for a, b in pairs]
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    # without[v]: the table positions of the cliques that avoid vertex v,
+    # as a bitmask; a trial's live cliques avoid every dropped vertex.
+    every = (1 << len(table)) - 1
+    without = [every] * len(ground)
+    for pos, (mask, _) in enumerate(table):
+        while mask:
+            low = mask & -mask
+            without[low.bit_length() - 1] ^= 1 << pos
+            mask ^= low
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, threshold, make_rng(derive_seed(seed, "mc-subset", k)))
         kept = sum(1 << index[v.coords] for v in subset)
+        live = every
+        for v, w in enumerate(without):
+            if not kept >> v & 1:
+                live &= w
         coin_seed = derive_seed(seed, "mc-coins", k)
-        # Each pair's coin is flipped at most once per trial, and a clique
+        # The live cliques are scored in table order, so the coins are
+        # those a scan of the whole table flips, in the same order.  Each
+        # pair's coin is flipped at most once per trial, and a clique
         # stops being scored at its first coin that differs from the others.
         coins: list[int | None] = [None] * len(pair_ids)
         cnt = 0
-        for mask, js in table:
-            if kept & mask != mask:
-                continue
+        while live:
+            low = live & -live
+            live ^= low
+            js = table[low.bit_length() - 1][1]
             first = None
             for j in js:
                 coin = coins[j]

@@ -9,6 +9,7 @@ run in any order or in parallel without changing any result.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 
@@ -18,8 +19,10 @@ _SEED_LIMIT = 1 << 64
 
 
 def _checked(seed: int) -> int:
-    """The seed itself, when it lies in [0, 2^64); seeds are never
+    """The seed itself, when it is an int in [0, 2^64); seeds are never
     reduced, so distinct seeds never share a stream."""
+    if not isinstance(seed, int):
+        raise ParameterError(f"seed {seed!r} is not an integer")
     if not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed {seed} outside [0, 2^64)")
     return seed
@@ -39,11 +42,20 @@ def derive_seed(seed: int, *labels: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+# A coloring build or a Monte Carlo trial flips all its coins under one
+# seed, so the keyed state is made once per seed and copied per coin.
+# The cache holds a few states, never one per seed seen.
+@functools.lru_cache(maxsize=4)
+def _coin_state(seed: int):
+    return hashlib.blake2b(digest_size=1, key=_seed_bytes(seed), person=b"rlb-coin")
+
+
 def pair_coin(seed: int, identity: str) -> int:
     """Unbiased bit fully determined by (seed, identity)."""
-    h = hashlib.blake2b(
-        identity.encode(), digest_size=1, key=_seed_bytes(seed), person=b"rlb-coin"
-    )
+    # The seed is checked before the cache is asked, which would take a
+    # float equal to a cached int for that int.
+    h = _coin_state(_checked(seed)).copy()
+    h.update(identity.encode())
     return h.digest()[0] & 1
 
 

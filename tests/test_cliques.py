@@ -12,6 +12,7 @@ from ramseylb.cliques import (
     _degeneracy_order,
     _k_cliques,
     _max_clique_mask,
+    _orthogonal_tuples,
     clique_gram_det,
     enumerate_potential_cliques,
     max_monochromatic_clique,
@@ -379,6 +380,21 @@ def test_potential_cliques_of_part_of_the_ground_set():
     full = enumerate_isotropic(M3, 4)
     partial = IsotropicSet(M3, 4, full.vectors[:10])
     assert enumerate_potential_cliques(partial, 4) == reference_potential_cliques(partial, 4)
+
+
+@pytest.mark.parametrize("q, t, size", [(3, 4, None), (3, 5, None), (2, 7, None), (5, 3, None), (3, 4, 10)])
+def test_orthogonal_tuples_are_the_potential_cliques_indices(q, t, size):
+    """The rank-free listing that the estimators read is the enumeration's
+    index tuples, in its order; size 10 takes the first 10 vectors."""
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    if size is not None:
+        ground = IsotropicSet(ground.modulus, t, ground.vectors[:size])
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    expected = [
+        tuple(index[v.coords] for v in c.vectors) for c in enumerate_potential_cliques(ground, t)
+    ]
+    assert expected
+    assert _orthogonal_tuples(ground, t, 10**7) == expected
 
 
 def test_potential_cliques_node_cap():

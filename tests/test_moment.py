@@ -66,6 +66,21 @@ def test_recommended_n_validation():
         recommended_n(3, -1)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_moment_estimators_reject_a_probability_that_is_not_finite(p):
+    with pytest.raises(ParameterError):
+        exact_mono_expectation(2, 4, p)
+    with pytest.raises(ParameterError):
+        monte_carlo_mono_count(2, 4, 10, p, seed=1)
+
+
+def test_seeds_that_are_not_ints_are_parameter_errors():
+    with pytest.raises(ParameterError):
+        monte_carlo_mono_count(3, 4, 5, Fraction(1, 2), seed=1.0)
+    with pytest.raises(ParameterError):
+        find_witness(3, 4, 14, 1, seed=1.5)
+
+
 def test_moment_estimators_need_t_at_least_two():
     # a one-vector clique has no pairs, so no coins and no color
     for t in (0, 1):
@@ -193,11 +208,62 @@ def reference_monte_carlo(q, t, n_trials, p, seed):
     return MonteCarloEstimate(sum(counts) / n_trials, stderr, n_trials)
 
 
-@pytest.mark.parametrize("q, t", [(3, 4), (2, 5), (2, 6)])
+@pytest.mark.parametrize("q, t", [(3, 4), (2, 5), (2, 6), (3, 3), (5, 3)])
 def test_monte_carlo_matches_per_clique_reference(q, t):
-    for p in (0, 0.3, Fraction(1, 2), 1):
+    for p in (0, 0.3, Fraction(1, 3), Fraction(1, 2), 1):
         for seed in (0, 1, 2**64 - 1):
             assert monte_carlo_mono_count(q, t, 12, p, seed) == reference_monte_carlo(q, t, 12, p, seed)
+
+
+def reference_table_scan_coins(q, t, n_trials, p, seed):
+    """The (seed, identity) coin calls of the estimator that tested every
+    clique of the table against each trial's subset, in table order, and
+    flipped each pair's coin lazily, at most once per trial."""
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    index = {v.coords: i for i, v in enumerate(ground.vectors)}
+    position = {}
+    table = []
+    for c in enumerate_potential_cliques(ground, t):
+        ids = [index[v.coords] for v in c.vectors]
+        js = [position.setdefault(pr, len(position)) for pr in itertools.combinations(ids, 2)]
+        table.append((sum(1 << i for i in ids), js))
+    pair_ids = [pair_identity(ground.vectors[a], ground.vectors[b]) for a, b in position]
+    calls = []
+    for k in range(n_trials):
+        subset = bernoulli_subset(ground, p, make_rng(derive_seed(seed, "mc-subset", k)))
+        kept = sum(1 << index[v.coords] for v in subset)
+        coin_seed = derive_seed(seed, "mc-coins", k)
+        coins = [None] * len(pair_ids)
+        for mask, js in table:
+            if kept & mask != mask:
+                continue
+            first = None
+            for j in js:
+                coin = coins[j]
+                if coin is None:
+                    calls.append((coin_seed, pair_ids[j]))
+                    coin = coins[j] = pair_coin(coin_seed, pair_ids[j])
+                if first is None:
+                    first = coin
+                elif coin != first:
+                    break
+    return calls
+
+
+@pytest.mark.parametrize("q, t", [(3, 4), (2, 6), (5, 3)])
+def test_monte_carlo_flips_the_table_scans_coins_in_its_order(monkeypatch, q, t):
+    calls = []
+
+    def spy(seed, identity):
+        calls.append((seed, identity))
+        return pair_coin(seed, identity)
+
+    monkeypatch.setattr(moment, "pair_coin", spy)
+    for p in (0.3, Fraction(1, 2)):
+        calls.clear()
+        monte_carlo_mono_count(q, t, 10, p, seed=5)
+        assert calls == reference_table_scan_coins(q, t, 10, p, seed=5)
+        assert calls
 
 
 def test_monte_carlo_estimates_are_pinned():
