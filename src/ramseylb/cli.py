@@ -124,6 +124,8 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
 
 
 def _cmd_verify(args) -> int:
+    if args.target < 1:
+        raise ParameterError(f"target {args.target} must be positive")
     text = _read(args.coloring)
     named = None
     if text.startswith(CERTIFICATE_MAGIC):

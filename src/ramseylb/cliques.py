@@ -51,10 +51,12 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
     A bucket queue: ``buckets[d]`` is the bitmask of the alive vertices
     of degree d, so the lowest set bit of the lowest non-empty bucket is
     the next vertex.  Peeling a vertex of degree d leaves every degree at
-    least d - 1, so the scan for that bucket restarts there.
+    least d - 1, so the scan for that bucket restarts there.  Its alive
+    neighbours, all of degree d or more, then drop one bucket each: an
+    upward sweep from bucket d moves them a whole bucket at a time.
     """
     deg = [adj[v].bit_count() for v in range(n)]
-    buckets = [0] * n
+    buckets = [0] * (max(deg, default=0) + 1)
     for v in range(n):
         buckets[deg[v]] |= 1 << v
     alive = (1 << n) - 1
@@ -67,19 +69,27 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
         low = bucket & -bucket
         buckets[d] = bucket ^ low
         alive ^= low
-        v = low.bit_length() - 1
-        order.append(v)
-        m = adj[v] & alive
+        order.append(low.bit_length() - 1)
+        m = adj[order[-1]] & alive
+        e = d
         while m:
-            ubit = m & -m
-            u = ubit.bit_length() - 1
-            buckets[deg[u]] ^= ubit
-            deg[u] -= 1
-            buckets[deg[u]] |= ubit
-            m ^= ubit
+            moved = buckets[e] & m
+            buckets[e] ^= moved
+            buckets[e - 1] |= moved
+            m ^= moved
+            e += 1
         if d:
             d -= 1
     return order
+
+
+def _relabel(adj: list[int], order: list[int]) -> list[int]:
+    """adj with order[i] renamed i.  As adj is symmetric, column n-1-v of
+    the bit strings of adj[order[n-1]], ..., adj[order[0]] is v's new row."""
+    n = len(order)
+    spec = f"0{n}b"
+    cols = list(zip(*[format(adj[v], spec) for v in reversed(order)]))
+    return [int("".join(cols[n - 1 - v]), 2) for v in order]
 
 
 class _ReachedUpper(Exception):
@@ -169,6 +179,9 @@ def max_monochromatic_clique(
 ) -> CliqueWitness:
     """A maximum clique of the chosen color class, exact and deterministic.
 
+    The class's vertices are renamed in smallest-last order by one string
+    transpose of its bitsets (see _degeneracy_order and _relabel).
+
     ``upper``, when given, must bound the class's clique number; the
     search then stops once it has a clique of that size, and returns the
     same witness as without it.  A wrong bound gives a wrong answer.
@@ -185,24 +198,13 @@ def max_monochromatic_clique(
     """
     if not 1 <= color <= coloring.num_colors:
         raise ParameterError(f"color {color} outside [1, {coloring.num_colors}]")
+    if cap < 1:
+        raise ParameterError(f"node cap {cap} must be positive")
     if upper is not None and upper < 1:
         raise ParameterError(f"upper bound {upper} must be positive")
-    n = coloring.n
     adj = coloring.color_class_bitsets(color)
-    order = _degeneracy_order(adj, n)
-    pos = [0] * n
-    for idx, v in enumerate(order):
-        pos[v] = idx
-    radj = [0] * n
-    for v in range(n):
-        m = adj[v]
-        acc = 0
-        while m:
-            low = m & -m
-            acc |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        radj[pos[v]] = acc
-    mask = _max_clique_mask(radj, cap, upper)
+    order = _degeneracy_order(adj, coloring.n)
+    mask = _max_clique_mask(_relabel(adj, order), cap, upper)
     verts = []
     while mask:
         low = mask & -mask

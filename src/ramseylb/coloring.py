@@ -111,7 +111,7 @@ class EdgeColoring:
         rows = []
         for i, line in enumerate(lines[pos:]):
             try:
-                rows.append(tuple(int(x) for x in line.split()))
+                rows.append(tuple(map(int, line.split())))
             except ValueError as exc:
                 raise FormatError(f"non-integer color on data line {i + 1}") from exc
         # The row and color counts are checked by __post_init__.

@@ -41,6 +41,8 @@ def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_C
     q = modulus.q
     if t < 1:
         raise ParameterError("dimension t must be positive")
+    if cap < 1:
+        raise ParameterError(f"enumeration cap {cap} must be positive")
     # q^t >= 2^t exceeds the cap when t passes its bit length; the power
     # is neither computed then nor ever written out in full.
     if t > cap.bit_length() or q**t > cap:

@@ -395,6 +395,8 @@ def find_witness(
         raise ParameterError("need at least one attempt")
     if jobs < 1:
         raise ParameterError("need at least one job")
+    if node_cap < 1:
+        raise ParameterError(f"node cap {node_cap} must be positive")
     ground = enumerate_isotropic(modulus, t)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")

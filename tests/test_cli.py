@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import re
 
@@ -367,3 +368,42 @@ def test_verify_finishes_under_a_cap_the_plain_search_exceeds(tmp_path, capsys):
     path = tmp_path / "c-2-11-400-1.txt"
     assert run("verify", "--coloring", str(path), "--target", "12", "--cap", "10000") == 0
     assert capsys.readouterr().out.startswith("color 1: max clique 11, witness ")
+
+
+def test_verify_witnesses_are_pinned(tmp_path, capsys):
+    # SHA-256 of verify's stdout.  The maxima alone do not pin which
+    # witness is printed; that depends on the peeling order and the relabel.
+    def construct(q, t, n):
+        path = tmp_path / f"c-{q}-{t}-{n}.txt"
+        run("construct", "--q", str(q), "--t", str(t), "--n", str(n), "--seed", "1", "--out", str(path))
+        return path
+
+    paley, product = tmp_path / "p13.txt", tmp_path / "p13xp13.txt"
+    run("construct-paley", "--p", "13", "--out", str(paley))
+    run("compose", "--a", str(paley), "--b", str(paley), "--out", str(product))
+    cases = [
+        (construct(5, 4, 145), 4, 1, "10cbd4291511f95608398952e93ea4d959feffd47896baf8cc4aaa6ab119946c"),
+        (construct(2, 9, 200), 9, 1, "c4cb65fea075aa3ab25a9e44e394bedc4478b32404ca662b184870eb1bd70d98"),
+        (product, 4, 0, "966c71099bf1bc579b448f1dc9eee6eca77a1f8d65b5d7db41ee2488093dd0f9"),
+    ]
+    capsys.readouterr()
+    for path, target, status, pinned in cases:
+        assert run("verify", "--coloring", str(path), "--target", str(target)) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned, path.name
+
+
+def test_limits_below_one_are_parameter_errors(tmp_path, capsys):
+    col = tmp_path / "p5.txt"
+    run("construct-paley", "--p", "5", "--out", str(col))
+    capsys.readouterr()
+    for value in ("0", "-5"):
+        for argv, message in [
+            (("verify", "--coloring", str(col), "--target", "3", "--cap", value), "node cap"),
+            (("verify", "--coloring", str(col), "--target", value), "target"),
+            (("certify", "--q", "3", "--t", "4", "--n", "14", "--cap", value), "node cap"),
+            (("enumerate", "--q", "2", "--t", "3", "--cap", value), "enumeration cap"),
+            (("construct", "--q", "3", "--t", "4", "--n", "12", "--cap", value), "enumeration cap"),
+        ]:
+            # these used to exit 3 ("exceeded -5 nodes"), or 1 for the target
+            assert run(*argv) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message} {value} must be positive\n"), argv

@@ -13,6 +13,7 @@ from ramseylb.cliques import (
     _k_cliques,
     _max_clique_mask,
     _orthogonal_tuples,
+    _relabel,
     clique_gram_det,
     enumerate_potential_cliques,
     max_monochromatic_clique,
@@ -192,12 +193,62 @@ def reference_degeneracy_order(adj, n):
     return order
 
 
+def spread_degree_graph(rng, n):
+    """A dense block joined to a sparse remainder, so that degrees spread
+    from near 0 to near n and a peel moves neighbours across many levels."""
+    block = rng.randrange(n // 4, n // 2)
+    adj = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        density = 0.9 if b < block else 0.3 if a < block else 0.03
+        if rng.random() < density:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return reference_relabel(adj, perm)
+
+
 def test_degeneracy_order_matches_min_scan_reference():
     rng = random.Random(45)
     for _ in range(200):
         n = rng.randrange(0, 81)
         adj = random_bitset_graph(rng, n, rng.choice([0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0, rng.random()]))
         assert _degeneracy_order(adj, n) == reference_degeneracy_order(adj, n)
+    for n in (150, 181, 220):
+        adj = spread_degree_graph(rng, n)
+        degrees = [a.bit_count() for a in adj]
+        assert min(degrees) < n // 10 and max(degrees) > n // 2
+        assert _degeneracy_order(adj, n) == reference_degeneracy_order(adj, n)
+
+
+def reference_relabel(adj, order):
+    """Vertex order[i] renamed i, one edge at a time: the loop _relabel replaced."""
+    n = len(order)
+    pos = [0] * n
+    for idx, v in enumerate(order):
+        pos[v] = idx
+    radj = [0] * n
+    for v in range(n):
+        m = adj[v]
+        acc = 0
+        while m:
+            low = m & -m
+            acc |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        radj[pos[v]] = acc
+    return radj
+
+
+def test_relabel_matches_per_edge_reference():
+    rng = random.Random(46)
+    for density in (0.0, 0.05, 0.5, 0.95, 1.0):
+        for n in (0, 1, 2, 3, 17, 64, 65, 150, 220):
+            adj = random_bitset_graph(rng, n, density)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for order in (perm, _degeneracy_order(adj, n)):
+                assert _relabel(adj, order) == reference_relabel(adj, order), (density, n)
+
 
 @st.composite
 def colorings(draw):

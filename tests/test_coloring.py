@@ -302,6 +302,21 @@ def test_file_format_rejects_malformed():
             EdgeColoring.from_text(text)
 
 
+def test_file_format_names_the_bad_data_line():
+    good = build_paley(5).to_text().splitlines()
+    head = len(good) - 4  # magic, header and provenance before 4 data lines
+    for k in range(1, 5):
+        for row, message in (("1 x", f"non-integer color on data line {k}"),
+                             ("1.5", f"non-integer color on data line {k}"),
+                             ("", f"row {k - 1} has 0 colors, expected {5 - k}"),
+                             ("  ", f"row {k - 1} has 0 colors, expected {5 - k}")):
+            lines = list(good)
+            lines[head + k - 1] = row
+            with pytest.raises(FormatError) as exc:
+                EdgeColoring.from_text("\n".join(lines) + "\n")
+            assert str(exc.value) == message, (k, row)
+
+
 def test_induced_validation():
     col = build_paley(5)
     with pytest.raises(ParameterError):
