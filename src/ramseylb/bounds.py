@@ -72,14 +72,8 @@ def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:
             num *= b**k
         else:
             den *= b ** (-k)
-    if den == 1:
-        return integer_root(num, d)
-    m = integer_root(num // den, d)
-    while (m + 1) ** d * den <= num:
-        m += 1
-    while m > 0 and m**d * den > num:
-        m -= 1
-    return m
+    # For an integer m, m^d <= num/den exactly when m^d <= num // den.
+    return integer_root(num // den, d)
 
 
 @dataclass(frozen=True)

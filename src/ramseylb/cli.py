@@ -126,6 +126,10 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
 def _cmd_verify(args) -> int:
     if args.target < 1:
         raise ParameterError(f"target {args.target} must be positive")
+    # Checked here as well as in max_monochromatic_clique, so that a bad cap
+    # prints no CSV header.
+    if args.cap < 1:
+        raise ParameterError(f"node cap {args.cap} must be positive")
     text = _read(args.coloring)
     named = None
     if text.startswith(CERTIFICATE_MAGIC):

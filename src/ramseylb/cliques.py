@@ -22,12 +22,12 @@ counting bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mod, mul
+from functools import cached_property
+from operator import mul
 
 from .coloring import EdgeColoring
 from .errors import ParameterError, ResourceCapError
-# rank is not called here; it stays bound because perfbench wraps ramseylb.cliques.rank.
-from .field import FieldVector, PrimeModulus, _eliminate, is_prime, rank  # noqa: F401
+from .field import FieldVector, PrimeModulus, _eliminate, dot, is_prime, rank
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
@@ -220,6 +220,8 @@ def _k_cliques(adj: list[int], k: int, cap: int, what: str) -> list[tuple[int, .
     Backtracking over candidates adjacent to everything already chosen;
     each recursion node counts against cap.
     """
+    if cap < 1:
+        raise ParameterError(f"node cap {cap} must be positive")
     found: list[tuple[int, ...]] = []
     visited = 0
 
@@ -282,8 +284,22 @@ class PotentialClique:
     """t self-orthogonal vectors with all pairwise products zero."""
 
     vectors: tuple[FieldVector, ...]
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def rank(self) -> int:
+        """The rank of the vectors, by elimination on first read.
+
+        They span a totally isotropic subspace W of F_q^d, d their
+        dimension: W lies in its orthogonal complement, which has
+        dimension d - dim W for the nondegenerate dot product.  So the
+        rank is at most min(t, d // 2).
+        """
+        return rank(self.vectors)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix of pairwise products, all zero for a potential clique."""
+        return tuple(tuple(dot(x, y) for y in self.vectors) for x in self.vectors)
 
 
 def _orthogonal_tuples(ground: IsotropicSet, t: int, cap: int) -> list[tuple[int, ...]]:
@@ -308,66 +324,11 @@ def enumerate_potential_cliques(
     ground: IsotropicSet, t: int, cap: int = DEFAULT_NODE_CAP
 ) -> list[PotentialClique]:
     """All t-subsets of the ground set with pairwise product zero, in
-    the lexicographic order of _orthogonal_tuples.
-
-    The vectors of a potential clique span a totally isotropic subspace W
-    of F_q^d, d the ground set's dimension: W lies in its orthogonal
-    complement, which has dimension d - dim W for the nondegenerate dot
-    product.  So every rank is at most min(t, d // 2).
-
-    Each rank is taken along the lexicographic order: a tuple shares a
-    prefix with the one before it, and the span of every proper prefix is
-    kept as its coordinate tuples and as the bitmask of the ground vectors
-    in it.  A new vector raises the rank exactly when its bit is not in
-    the span before it.  Span vectors outside the ground set get no bit
-    and only ground vectors are asked about, so the ground set may be any
-    IsotropicSet, not only the full one.
-    """
+    the lexicographic order of _orthogonal_tuples."""
     if t < 1:
         raise ParameterError("clique size must be positive")
     vecs = ground.vectors
-    q = ground.modulus.q
-    coords = [v.coords for v in vecs]
-    index = {x: i for i, x in enumerate(coords)}
-    qs = (q,) * ground.dimension
-
-    def entry(r, span):
-        """(rank, span, bitmask of the ground vectors in the span)."""
-        return r, span, sum(1 << index[x] for x in span if x in index)
-
-    def extend(prefix, k):
-        """The entry of a prefix with ground vector k appended."""
-        r, span, mask = prefix
-        if mask >> k & 1:
-            return prefix
-        multiples = [tuple(c * b % q for b in coords[k]) for c in range(q)]
-        # x + c * v for every x in the span and every c, coordinate-wise mod q.
-        span = [tuple(map(mod, map(add, x, m), qs)) for m in multiples for x in span]
-        return entry(r + 1, span)
-
-    stack = [entry(0, [(0,) * ground.dimension])]
-    # Vectors of the ground set are self-orthogonal and a clique's are
-    # pairwise orthogonal, so every Gram matrix is this one.
-    gram = tuple((0,) * t for _ in range(t))
-    bound = min(t, ground.dimension // 2)
-    found: list[PotentialClique] = []
-    prev: tuple[int, ...] = ()
-    for ids in _orthogonal_tuples(ground, t, cap):
-        j = 0
-        while j < len(prev) and ids[j] == prev[j]:
-            j += 1
-        # stack[i] is the entry of ids[:i] = prev[:i] for every i <= j.
-        del stack[j + 1 :]
-        for k in ids[j:-1]:
-            stack.append(extend(stack[-1], k))
-        # The last vector needs only its bit, not a span.
-        r, _, mask = stack[-1]
-        if not mask >> ids[-1] & 1:
-            r += 1
-        assert r <= bound
-        found.append(PotentialClique(tuple(vecs[k] for k in ids), r, gram))
-        prev = ids
-    return found
+    return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _orthogonal_tuples(ground, t, cap)]
 
 
 def rank_count_bound(q: int, t: int, r: int) -> int:

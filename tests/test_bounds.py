@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,29 @@ def test_floor_power_product_values():
     assert floor_power_product([(2, Fraction(2)), (3, Fraction(3, 2))]) == 20
     assert floor_power_product([(2, Fraction(-1))]) == 0  # floor 1/2
     assert floor_power_product([(3, Fraction(2)), (2, Fraction(-3, 2))]) == 3  # floor 9/2.83
+
+
+def test_floor_power_product_with_negative_exponents_brackets_the_value():
+    """With den the product of the negative-exponent powers, the floor m
+    of (num/den)^(1/d) satisfies m^d den <= num < (m+1)^d den."""
+    rng = random.Random(5)
+    for _ in range(2000):
+        fs = [
+            (rng.randint(1, 40), Fraction(rng.randint(-12, 12), rng.randint(1, 9)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if all(e >= 0 for _, e in fs):
+            fs.append((rng.randint(2, 40), -Fraction(rng.randint(1, 12), rng.randint(1, 9))))
+        d = math.lcm(*(e.denominator for _, e in fs))
+        num = den = 1
+        for b, e in fs:
+            k = int(e * d)
+            if k >= 0:
+                num *= b**k
+            else:
+                den *= b ** (-k)
+        m = floor_power_product(fs)
+        assert m**d * den <= num < (m + 1) ** d * den, fs
 
 
 def test_as_slack_decimal_semantics():

@@ -399,6 +399,7 @@ def test_limits_below_one_are_parameter_errors(tmp_path, capsys):
     for value in ("0", "-5"):
         for argv, message in [
             (("verify", "--coloring", str(col), "--target", "3", "--cap", value), "node cap"),
+            (("verify", "--coloring", str(col), "--target", "3", "--cap", value, "--csv"), "node cap"),
             (("verify", "--coloring", str(col), "--target", value), "target"),
             (("certify", "--q", "3", "--t", "4", "--n", "14", "--cap", value), "node cap"),
             (("enumerate", "--q", "2", "--t", "3", "--cap", value), "enumeration cap"),

@@ -5,6 +5,8 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from ramseylb.cli import _construct_sample
 from ramseylb.cliques import (
@@ -22,7 +24,7 @@ from ramseylb.cliques import (
 )
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.errors import ParameterError, ResourceCapError
-from ramseylb.field import PrimeModulus, dot, rank
+from ramseylb.field import FieldVector, PrimeModulus, dot, rank
 from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic
 
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
@@ -370,11 +372,7 @@ def reference_potential_cliques(ground, t):
             if dot(vecs[a], vecs[b]) == 0:
                 orth[a] |= 1 << b
                 orth[b] |= 1 << a
-    found = []
-    for ids in _k_cliques(orth, t, 10**7, "reference"):
-        vs = tuple(vecs[k] for k in ids)
-        found.append(PotentialClique(vs, rank(vs), tuple(tuple(dot(x, y) for y in vs) for x in vs)))
-    return found
+    return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _k_cliques(orth, t, 10**7, "reference")]
 
 
 @pytest.mark.parametrize(
@@ -382,10 +380,14 @@ def reference_potential_cliques(ground, t):
     [(3, 4), (3, 5), (2, 7), (5, 3), (2, 4), (2, 6), (5, 2), (7, 3), (11, 3), (13, 2), (3, 1)],
 )
 def test_potential_cliques_match_dot_reference(q, t):
+    """Vectors and order against the dot reference; every rank against
+    sympy's elimination over GF(q)."""
     ground = enumerate_isotropic(PrimeModulus(q), t)
     got = enumerate_potential_cliques(ground, t)
     assert got
     assert got == reference_potential_cliques(ground, t)
+    for c in got:
+        assert c.rank == DomainMatrix.from_list([list(v.coords) for v in c.vectors], GF(q)).rank()
 
 
 @pytest.mark.parametrize("q, d, s", [(2, 4, 1), (2, 4, 2), (2, 4, 3), (3, 4, 2), (3, 4, 3)])
@@ -426,6 +428,13 @@ def test_potential_clique_structure():
         assert rank(c.vectors) == c.rank
 
 
+def test_potential_clique_gram_shows_a_nonzero_product():
+    """The Gram matrix is computed from the vectors, not assumed zero:
+    two self-orthogonal vectors with product 2."""
+    pair = PotentialClique((FieldVector(M3, (1, 1, 1, 0)), FieldVector(M3, (1, 0, 1, 1))))
+    assert pair.gram == ((0, 2), (2, 0))
+
+
 def test_potential_cliques_of_part_of_the_ground_set():
     """Any isotropic set is enumerated, here the first 10 of 33 vectors."""
     full = enumerate_isotropic(M3, 4)
@@ -452,6 +461,17 @@ def test_potential_cliques_node_cap():
     ground = enumerate_isotropic(M3, 4)
     with pytest.raises(ResourceCapError):
         enumerate_potential_cliques(ground, 4, cap=5)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_listing_caps_below_one_are_parameter_errors(cap):
+    """_k_cliques checks the cap for both of its public callers; they
+    used to raise ResourceCapError ("exceeded -5 nodes")."""
+    ground = enumerate_isotropic(M3, 4)
+    with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
+        enumerate_potential_cliques(ground, 4, cap=cap)
+    with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
+        monochromatic_cliques(build_paley(5), 2, cap=cap)
 
 
 # ---------------------------------------------------------------------------
