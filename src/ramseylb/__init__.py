@@ -24,9 +24,7 @@ from .coloring import (
     build_field_coloring,
     build_paley,
     build_two_color,
-    dot_two_coloring,
     pair_identity,
-    sample_binary_vectors,
 )
 from .compose import blowup_product
 from .errors import (

@@ -35,7 +35,16 @@ def as_slack(value: SlackLike) -> Fraction:
 
 
 def integer_root(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0, k >= 1, computed exactly."""
+    """floor(n^(1/k)) for n >= 0, k >= 1, computed exactly.
+
+    The integer Newton steps y = ((k-1)x + n // x^(k-1)) // k, from
+    x0 = 2^ceil(bits(n)/k) > n^(1/k), stop exactly at r = floor(n^(1/k)):
+    - y is the floor of the mean of k - 1 copies of x and n / x^(k-1),
+      which by AM-GM is at least n^(1/k), so y >= r from every x;
+    - from x > r, x^k > n, so n / x^(k-1) < x and y < x.
+    The iterates therefore fall strictly while above r, never below it,
+    and the first step that does not fall is the one from r.
+    """
     if k < 1:
         raise ParameterError("root index must be positive")
     if n < 0:
@@ -46,13 +55,8 @@ def integer_root(n: int, k: int) -> int:
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x**k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dataclass_field
 from operator import mul
 from typing import Sequence
 
-from .errors import CapacityError, DimensionError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError
 from .field import FieldVector, PrimeModulus, is_prime
 from .isotropic import IsotropicSet
 from .rng import derive_seed, make_rng, pair_coin
@@ -181,8 +181,14 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
             else:
                 row.append(q + pair_coin(seed, texts[j] + "|" + ti))
         rows.append(tuple(row))
-    prov = (f"field-coloring q={q} t={params.t} n={params.n} seed={params.seed}",)
+    prov = (_field_line(q, params.t, params.n, params.seed),)
     return EdgeColoring(params.n, q + 1, tuple(rows), prov)
+
+
+def _field_line(q: int, t: int, n: int, seed: int) -> str:
+    """The provenance line of a (q+1)-coloring of n vectors of F_q^t
+    colored under seed; field_provenance reads it back."""
+    return f"field-coloring q={q} t={t} n={n} seed={seed}"
 
 
 def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
@@ -202,51 +208,31 @@ def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None
     return q, t, n, seed
 
 
-def sample_binary_vectors(length: int, n: int, seed: int) -> list[FieldVector]:
-    """n distinct uniform vectors from F_2^length, rejection-sampled."""
+def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
+    """Two-coloring of n sampled vectors of F_2^(2t) by product parity:
+    color 1 when orthogonal, else 2.
+
+    The vertices are n distinct coordinate tuples, rejection-sampled
+    uniformly from the whole space, with no self-orthogonality filter.
+    """
+    length = 2 * t
     if length < 1:
         raise ParameterError("vector length must be positive")
     if n > 2**length:
         raise CapacityError(f"cannot pick {n} distinct vectors from F_2^{length}")
     rng = make_rng(derive_seed(seed, "binary-vertices"))
-    mod2 = PrimeModulus(2)
-    chosen: list[FieldVector] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(chosen) < n:
-        coords = tuple(rng.randrange(2) for _ in range(length))
-        if coords not in seen:
-            seen.add(coords)
-            chosen.append(FieldVector(mod2, coords))
-    return chosen
-
-
-def dot_two_coloring(vertices: Sequence[FieldVector], provenance: tuple[str, ...] = ()) -> EdgeColoring:
-    """Two colors by scalar product: 1 when orthogonal, else 2."""
-    verts = list(vertices)
-    if len(verts) < 2:
+    if n < 2:
         raise ParameterError("need at least two vertices")
-    if len({v.coords for v in verts}) != len(verts):
-        raise ParameterError("duplicate vertices")
-    first = verts[0]
-    if any(v.modulus != first.modulus or len(v) != len(first) for v in verts):
-        raise DimensionError("vectors differ in modulus or length")
-    q = first.q
-    coords = [v.coords for v in verts]
+    # A dict keeps the first draw of each tuple, in drawing order.
+    chosen: dict[tuple[int, ...], None] = {}
+    while len(chosen) < n:
+        chosen[tuple(rng.randrange(2) for _ in range(length))] = None
+    coords = list(chosen)
     rows = tuple(
-        tuple(2 if sum(map(mul, ci, coords[j])) % q else 1 for j in range(i + 1, len(coords)))
+        tuple(2 if sum(map(mul, ci, cj)) % 2 else 1 for cj in coords[i + 1 :])
         for i, ci in enumerate(coords[:-1])
     )
-    return EdgeColoring(len(verts), 2, rows, provenance)
-
-
-def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
-    """Two-coloring of n sampled vectors of F_2^(2t) by product parity.
-
-    Vertices are uniform over the whole space, with no self-orthogonality
-    filter.
-    """
-    verts = sample_binary_vectors(2 * t, n, seed)
-    return dot_two_coloring(verts, (f"two-color t={t} n={n} seed={seed}",))
+    return EdgeColoring(n, 2, rows, (f"two-color t={t} n={n} seed={seed}",))
 
 
 def build_paley(p: int) -> EdgeColoring:

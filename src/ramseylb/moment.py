@@ -18,7 +18,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -32,7 +32,7 @@ from .cliques import (  # noqa: F401
     max_monochromatic_clique,
     monochromatic_cliques,
 )
-from .coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
+from .coloring import ConstructionParams, EdgeColoring, _field_line, build_field_coloring, pair_identity
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus
 from .isotropic import (
@@ -322,8 +322,10 @@ def _run_attempt(
     vectors (2n is the expected sample at p = 2n/|V|), color them, list
     every monochromatic K_t, and delete at most m - n vertices meeting
     all of them.  The first n survivors in sampling order are the
-    witness: by restriction consistency they color to the induced
-    sub-coloring, which then has no monochromatic K_t.
+    witness, colored by the attempt's coloring restricted to them, which
+    then has no monochromatic K_t.  By restriction consistency that is
+    the coloring build_field_coloring gives them under the attempt's
+    seed, which is what reverify rebuilds.
     """
     sk = attempt_seed(seed, attempt)
     modulus = PrimeModulus(q)
@@ -339,10 +341,11 @@ def _run_attempt(
         color = min(c.color for c in cliques if c.vertices[-1] < n)
         size = max_monochromatic_clique(col.induced(range(n)), color, node_cap).size
         return AttemptFailure(attempt, color, size)
-    kept = tuple(v for i, v in enumerate(sample) if not deleted >> i & 1)[:n]
-    kept_col = build_field_coloring(ConstructionParams(modulus, t, sk, n), kept)
+    keep = [i for i in range(m) if not deleted >> i & 1][:n]
+    kept_col = replace(col.induced(keep), provenance=(_field_line(q, t, n, sk),))
     sizes = tuple(max_monochromatic_clique(kept_col, c, node_cap).size for c in range(1, q + 2))
     assert all(s < t for s in sizes), "deletion left a monochromatic K_t"
+    kept = tuple(sample[i] for i in keep)
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col.to_text(), sizes, "pass")
 
 
@@ -507,9 +510,14 @@ def certificate_from_text(text: str) -> WitnessCertificate:
     embedded = EdgeColoring.from_text(coloring_text)
     if embedded.n != n or embedded.num_colors != num_colors:
         raise FormatError("embedded coloring disagrees with the certificate header")
-    return WitnessCertificate(
+    cert = WitnessCertificate(
         q, t, num_colors, n, seed, attempt, vectors, coloring_text, sizes, verdict
     )
+    # int() also reads "+5", " 14", "01" and "0_3"; only the one spelling
+    # that certificate_to_text writes is a certificate.
+    if certificate_to_text(cert) != text:
+        raise FormatError("certificate is not in canonical form")
+    return cert
 
 
 def reverify_text(text: str) -> bool:

@@ -38,6 +38,22 @@ def test_integer_root_big():
     assert r == n
 
 
+def test_integer_root_brackets_random_and_near_perfect_powers():
+    """x^k <= n < (x+1)^k on random radicands up to 2,000 bits, and on
+    perfect k-th powers and their neighbours, where a Newton step that
+    stops one early or one late shows."""
+    rng = random.Random(16)
+    for _ in range(200_000):
+        k = rng.randint(1, 12)
+        bits = rng.randint(1, 2000)
+        if rng.random() < 0.5:
+            n = rng.getrandbits(bits)
+        else:
+            n = max(0, rng.getrandbits(max(1, bits // k)) ** k + rng.randint(-1, 1))
+        x = integer_root(n, k)
+        assert x**k <= n < (x + 1) ** k, (n, k, x)
+
+
 def test_floor_power_product_values():
     assert floor_power_product([(2, Fraction(7))]) == 128
     assert floor_power_product([(2, Fraction(1, 2))]) == 1

@@ -8,10 +8,8 @@ from ramseylb.coloring import (
     build_field_coloring,
     build_paley,
     build_two_color,
-    dot_two_coloring,
     field_provenance,
     pair_identity,
-    sample_binary_vectors,
 )
 from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError
 from ramseylb.field import FieldVector, PrimeModulus, dot
@@ -30,12 +28,6 @@ def edges(col):
     for i, row in enumerate(col.rows):
         for j, c in enumerate(row, i + 1):
             yield i, j, c
-
-
-def edge_color(col, i, j):
-    """Color of the edge {i, j}, read from the rows."""
-    i, j = min(i, j), max(i, j)
-    return col.rows[i][j - i - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +194,28 @@ def test_field_coloring_input_validation():
 # two-color construction
 # ---------------------------------------------------------------------------
 
+def reference_binary_vectors(length, n, seed):
+    """The n distinct vectors of F_2^length that build_two_color draws:
+    rejection-sampled from its seeded stream, in first-draw order."""
+    rng = make_rng(derive_seed(seed, "binary-vertices"))
+    chosen = []
+    while len(chosen) < n:
+        v = fv(M2, *(rng.randrange(2) for _ in range(length)))
+        if v not in chosen:
+            chosen.append(v)
+    return chosen
+
+
 def test_two_color_rule_matches_dot():
-    verts = sample_binary_vectors(8, 20, seed=5)
-    col = dot_two_coloring(verts)
+    col = build_two_color(4, 40, seed=5)
+    verts = reference_binary_vectors(8, 40, seed=5)
     for i, j, c in edges(col):
         assert c == (1 if dot(verts[i], verts[j]) == 0 else 2)
 
 
-def test_dot_two_coloring_rejects_mixed_vectors():
-    with pytest.raises(DimensionError):
-        dot_two_coloring([fv(M2, 1, 0), fv(M2, 0, 1, 1)])
-    with pytest.raises(DimensionError):
-        dot_two_coloring([fv(M2, 1, 0), fv(M3, 0, 1)])
-
-
 def test_two_color_not_isotropy_filtered():
     # with a fixed seed some sampled vectors have odd weight
-    verts = sample_binary_vectors(8, 40, seed=5)
+    verts = reference_binary_vectors(8, 40, seed=5)
     assert any(sum(v.coords) % 2 == 1 for v in verts)
 
 
@@ -227,10 +224,9 @@ def test_two_color_determinism_and_symmetry():
     b = build_two_color(4, 40, seed=6)
     assert a.to_text() == b.to_text()
     # the rule reads a pair the same way in either order
-    verts = sample_binary_vectors(8, 40, seed=6)
-    rev = dot_two_coloring(verts[::-1])
-    for i, j, c in edges(dot_two_coloring(verts)):
-        assert edge_color(rev, 39 - i, 39 - j) == c
+    verts = reference_binary_vectors(8, 40, seed=6)
+    for i, j, c in edges(a):
+        assert c == (1 if dot(verts[j], verts[i]) == 0 else 2)
 
 
 def test_two_color_capacity():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ramseylb import moment
 from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
-from ramseylb.coloring import EdgeColoring, pair_identity
+from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot
 from ramseylb.isotropic import bernoulli_subset, enumerate_isotropic
@@ -355,6 +355,21 @@ def test_find_witness_kept_coloring_has_no_monochromatic_t_subset(n, seed):
         assert len(colors) > 1, f"monochromatic 4-subset {sub}"
 
 
+def test_find_witness_certificate_is_the_rebuild():
+    # A witness's coloring is its attempt's coloring restricted to the
+    # kept vectors; it must be what a build on those vectors gives, which
+    # is what reverify rebuilds.  The digest pins every certificate.
+    digest = hashlib.sha256()
+    for n in (14, 16, 20, 22):
+        for seed in range(1, 41):
+            cert = find_witness(3, 4, n, 3, seed)
+            assert isinstance(cert, WitnessCertificate), (n, seed)
+            params = ConstructionParams(PrimeModulus(3), 4, attempt_seed(seed, cert.attempt), n)
+            assert cert.coloring_text == build_field_coloring(params, cert.vectors).to_text()
+            digest.update(certificate_to_text(cert).encode())
+    assert digest.hexdigest() == "d711135b386e5c755d4311ce436e6a07c35c6e0ea858b6b934828de89dd1b6eb"
+
+
 @pytest.mark.parametrize("n, attempts", [(20, 200), (33, 4)])
 def test_find_witness_two_jobs_match_one(n, attempts):
     seq = find_witness(3, 4, n, attempts, seed=271828)
@@ -500,6 +515,30 @@ def test_reverify_rejects_header_and_vector_tampering(fixture_certificate):
     tampered.append("".join(lines))
     for bad in tampered:
         assert not reverify_text(bad)
+
+
+def test_certificates_spell_integers_one_way():
+    # each edit respells one integer, which int() reads as the same value
+    cert = find_witness(3, 4, 14, 200, seed=5)
+    text = certificate_to_text(cert)
+    assert text.splitlines()[5:11] == [
+        "seed=5", "attempt=1", "max-clique-sizes=3 3 3 3", "verdict=pass", "vectors:", "3 4 2 0 2 2"
+    ]
+    edits = [
+        ("seed=5\n", "seed=+5\n"),
+        ("n=14\n", "n= 14\n"),
+        ("attempt=1\n", "attempt=01\n"),
+        ("q=3\n", "q=0_3\n"),
+        ("max-clique-sizes=3", "max-clique-sizes= 3"),
+        ("vectors:\n3 4 2 0 2 2\n", "vectors:\n3 04 02 00 2 2\n"),
+    ]
+    for old, new in edits:
+        bad = text.replace(old, new, 1)
+        assert bad != text
+        with pytest.raises(FormatError, match="canonical"):
+            certificate_from_text(bad)
+        assert not reverify_text(bad)
+    assert reverify_text(text)
 
 
 def test_reverify_rejects_a_seed_outside_64_bits():
