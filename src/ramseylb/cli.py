@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from operator import mul
 from typing import Sequence
 
 from . import bounds as bounds_mod
@@ -26,7 +25,7 @@ from .coloring import (
 )
 from .compose import blowup_product
 from .errors import FormatError, ParameterError, RamseyLBError, ResourceCapError
-from .field import FieldVector, PrimeModulus, is_prime
+from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 from .isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic, sample_distinct
 from .moment import (
     CERTIFICATE_MAGIC,
@@ -41,12 +40,16 @@ from .rng import derive_seed, make_rng
 DEFAULT_SEED = 271828
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | None, summary: str) -> int:
+    """Write text to stdout, or to the file out and then the summary and
+    the file's name to stdout; 0, the exit status."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
             fh.write(text)
+        print(f"{summary} out={out}")
+    return 0
 
 
 def _read(path: str) -> str:
@@ -60,10 +63,7 @@ def _read(path: str) -> str:
 def _cmd_enumerate(args) -> int:
     ground = enumerate_isotropic(PrimeModulus(args.q), args.t, cap=args.cap)
     text = "".join(v.text_form() + "\n" for v in ground.vectors)
-    _write(text, args.out)
-    if args.out:
-        print(f"enumerate: q={args.q} t={args.t} count={len(ground)} out={args.out}")
-    return 0
+    return _write(text, args.out, f"enumerate: q={args.q} t={args.t} count={len(ground)}")
 
 
 def _construct_sample(
@@ -79,27 +79,17 @@ def _construct_sample(
 
 def _cmd_construct(args) -> int:
     params, verts = _construct_sample(args.q, args.t, args.n, args.seed, args.cap)
-    coloring = build_field_coloring(params, verts)
-    _write(coloring.to_text(), args.out)
-    if args.out:
-        print(f"construct: seed={args.seed} q={args.q} t={args.t} n={args.n} out={args.out}")
-    return 0
+    summary = f"construct: seed={args.seed} q={args.q} t={args.t} n={args.n}"
+    return _write(build_field_coloring(params, verts).to_text(), args.out, summary)
 
 
 def _cmd_construct_two_color(args) -> int:
-    coloring = build_two_color(args.t, args.n, args.seed)
-    _write(coloring.to_text(), args.out)
-    if args.out:
-        print(f"construct-two-color: seed={args.seed} t={args.t} n={args.n} out={args.out}")
-    return 0
+    summary = f"construct-two-color: seed={args.seed} t={args.t} n={args.n}"
+    return _write(build_two_color(args.t, args.n, args.seed).to_text(), args.out, summary)
 
 
 def _cmd_construct_paley(args) -> int:
-    coloring = build_paley(args.p)
-    _write(coloring.to_text(), args.out)
-    if args.out:
-        print(f"construct-paley: p={args.p} out={args.out}")
-    return 0
+    return _write(build_paley(args.p).to_text(), args.out, f"construct-paley: p={args.p}")
 
 
 def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
@@ -114,13 +104,11 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
         _, verts = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
     except RamseyLBError:
         return False
-    coords = [v.coords for v in verts]
-    for i, row in enumerate(coloring.rows):
-        ci = coords[i]
-        for j, c in enumerate(row, i + 1):
-            if c < q and sum(map(mul, ci, coords[j])) % q != c:
-                return False
-    return True
+    # Each distinct (color, product) pair of the edges is checked once.
+    seen = set()
+    for row, prods in zip(coloring.rows, _scalar_products([v.coords for v in verts], q)):
+        seen.update(zip(row, prods))
+    return all(c >= q or c == d for c, d in seen)
 
 
 def _cmd_verify(args) -> int:
@@ -183,14 +171,9 @@ def _cmd_certify(args) -> int:
         if len(result.failures) > 10:
             print(f"  ... and {len(result.failures) - 10} more attempts")
         return 1
-    _write(certificate_to_text(result), args.out)
     sizes = " ".join(str(s) for s in result.max_clique_sizes)
-    if args.out:
-        print(
-            f"certify: seed={args.seed} attempt={result.attempt} "
-            f"max-clique-sizes={sizes} out={args.out}"
-        )
-    return 0
+    summary = f"certify: seed={args.seed} attempt={result.attempt} max-clique-sizes={sizes}"
+    return _write(certificate_to_text(result), args.out, summary)
 
 
 def _cmd_reverify(args) -> int:
@@ -201,10 +184,7 @@ def _cmd_reverify(args) -> int:
 
 def _cmd_compose(args) -> int:
     product = blowup_product(EdgeColoring.from_text(_read(args.a)), EdgeColoring.from_text(_read(args.b)))
-    _write(product.to_text(), args.out)
-    if args.out:
-        print(f"compose: n={product.n} colors={product.num_colors} out={args.out}")
-    return 0
+    return _write(product.to_text(), args.out, f"compose: n={product.n} colors={product.num_colors}")
 
 
 def _cmd_bounds(args) -> int:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 
 from .coloring import EdgeColoring
 from .errors import ParameterError, ResourceCapError
-from .field import FieldVector, PrimeModulus, _eliminate, dot, is_prime, rank
+from .field import FieldVector, PrimeModulus, _eliminate, _scalar_products, dot, is_prime, rank
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
@@ -312,11 +311,14 @@ def _orthogonal_tuples(ground: IsotropicSet, t: int, cap: int) -> list[tuple[int
     q = ground.modulus.q
     # IsotropicSet has checked that every vector shares the modulus and
     # dimension, so the products are taken on the coordinate tuples.
-    coords = [v.coords for v in ground.vectors]
-    orth = [
-        sum(1 << b for b, y in enumerate(coords) if b != a and sum(map(mul, x, y)) % q == 0)
-        for a, x in enumerate(coords)
-    ]
+    orth = [0] * len(ground.vectors)
+    for a, prods in enumerate(_scalar_products([v.coords for v in ground.vectors], q)):
+        j = -1
+        for _ in range(prods.count(0)):
+            j = prods.index(0, j + 1)
+            b = a + 1 + j
+            orth[a] |= 1 << b
+            orth[b] |= 1 << a
     return _k_cliques(orth, t, cap, "potential-clique enumeration")
 
 

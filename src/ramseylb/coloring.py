@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from operator import mul
 from typing import Sequence
 
 from .errors import CapacityError, FormatError, ParameterError
-from .field import FieldVector, PrimeModulus, is_prime
+from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 from .isotropic import IsotropicSet
 from .rng import derive_seed, make_rng, pair_coin
 
 FORMAT_MAGIC = "ramsey-coloring 1"
+# An integer as str() spells it, and what int() reads in a token but str()
+# never writes: a sign, an underscore, a non-ASCII digit or a leading zero.
+_INT = r"(0|[1-9][0-9]*)"
+_NOT_CANONICAL = re.compile(r"[^\s0-9]|0(?<![0-9]0)[0-9]")
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class EdgeColoring:
             raise FormatError("missing coloring magic line")
         if len(lines) < 2:
             raise FormatError("missing coloring header line")
-        m = re.fullmatch(r"n=(\d+) colors=(\d+)", lines[1])
+        m = re.fullmatch(rf"n={_INT} colors={_INT}", lines[1])
         if not m:
             raise FormatError(f"bad coloring header: {lines[1]!r}")
         n, num_colors = int(m.group(1)), int(m.group(2))
@@ -114,6 +117,8 @@ class EdgeColoring:
                 rows.append(tuple(map(int, line.split())))
             except ValueError as exc:
                 raise FormatError(f"non-integer color on data line {i + 1}") from exc
+            if _NOT_CANONICAL.search(line):
+                raise FormatError(f"non-canonical integer on data line {i + 1}")
         # The row and color counts are checked by __post_init__.
         try:
             return cls(n, num_colors, tuple(rows), tuple(provenance))
@@ -160,26 +165,20 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
         raise ParameterError(f"got {len(verts)} vertices, params say n={params.n}")
     # Modulus and dimension, self-orthogonality, no duplicates, per vertex.
     IsotropicSet(params.modulus, params.t, tuple(verts))
-    # The pair loop works on coordinate tuples and text forms computed
-    # once per vertex.  A nonzero product is the color; a zero product
-    # flips the coin keyed by pair_identity's string, the two text forms
-    # in coordinate order.
+    # A nonzero product is the color; a zero product flips the coin keyed
+    # by pair_identity's string, the two text forms in coordinate order.
     seed = params.seed
     coords = [v.coords for v in verts]
     texts = [v.text_form() for v in verts]
     rows = []
-    for i in range(len(verts) - 1):
+    for i, prods in enumerate(_scalar_products(coords, q)):
         ci, ti = coords[i], texts[i]
-        row = []
-        for j in range(i + 1, len(verts)):
-            cj = coords[j]
-            d = sum(map(mul, ci, cj)) % q
-            if d:
-                row.append(d)
-            elif ci < cj:
-                row.append(q + pair_coin(seed, ti + "|" + texts[j]))
-            else:
-                row.append(q + pair_coin(seed, texts[j] + "|" + ti))
+        row = list(prods)
+        j = -1
+        for _ in range(prods.count(0)):
+            j = prods.index(0, j + 1)
+            cj, tj = coords[i + 1 + j], texts[i + 1 + j]
+            row[j] = q + pair_coin(seed, ti + "|" + tj if ci < cj else tj + "|" + ti)
         rows.append(tuple(row))
     prov = (_field_line(q, params.t, params.n, params.seed),)
     return EdgeColoring(params.n, q + 1, tuple(rows), prov)
@@ -199,7 +198,7 @@ def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None
     searching the coloring's colors."""
     if not coloring.provenance:
         return None
-    m = re.fullmatch(r"field-coloring q=(\d+) t=(\d+) n=(\d+) seed=(\d+)", coloring.provenance[0])
+    m = re.fullmatch(rf"field-coloring q={_INT} t={_INT} n={_INT} seed={_INT}", coloring.provenance[0])
     if not m:
         return None
     q, t, n, seed = map(int, m.groups())
@@ -228,10 +227,7 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     while len(chosen) < n:
         chosen[tuple(rng.randrange(2) for _ in range(length))] = None
     coords = list(chosen)
-    rows = tuple(
-        tuple(2 if sum(map(mul, ci, cj)) % 2 else 1 for cj in coords[i + 1 :])
-        for i, ci in enumerate(coords[:-1])
-    )
+    rows = tuple(tuple(map((1, 2).__getitem__, prods)) for prods in _scalar_products(coords, 2))
     return EdgeColoring(n, 2, rows, (f"two-color t={t} n={n} seed={seed}",))
 
 

@@ -9,7 +9,7 @@ stays exact for every prime modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionError, FormatError, ParameterError
 
@@ -93,6 +93,34 @@ def dot(u: FieldVector, v: FieldVector) -> int:
     """Scalar product of u and v in F_q."""
     _check_compatible(u, v)
     return sum(a * b for a, b in zip(u.coords, v.coords)) % u.q
+
+
+def _scalar_products(coords: Sequence[Sequence[int]], q: int) -> Iterator[bytes | list[int]]:
+    """Row i < len(coords) - 1: <c_i, c_j> mod q for j > i, from one big-int
+    product by Kronecker substitution (D. Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symbolic
+    Comput. 2009).  The c_i are equal-length tuples over [0, q), of length t.
+
+    A digit is w bytes, B = 256^w > t(q-1)^2.  Row i packs c_i as x_i =
+    sum_k c_ik B^k, and Y_i holds c_j reversed in slot j - i - 1 of S = 2t - 1
+    digits.  A digit of x_i Y_i sums at most t products below (q-1)^2, so
+    none carries, and digit S(j - i - 1) + t - 1 is <c_i, c_j>.  A row is
+    bytes when w = 1, reduced mod q by one translate, else a list.
+    """
+    t = len(coords[0]) if coords else 1
+    s, w = 2 * t - 1, ((t * (q - 1) ** 2).bit_length() + 7) // 8
+    pack = bytes if w == 1 else lambda v: b"".join(c.to_bytes(w, "little") for c in v)
+    mod_q = (bytes(range(q)) * 256)[:256] if w == 1 else None
+    y = int.from_bytes(b"".join(pack(v[::-1]) + bytes(w * (t - 1)) for v in coords), "little")
+    for i, v in enumerate(coords[:-1]):
+        y >>= 8 * w * s
+        prod = int.from_bytes(pack(v), "little") * y
+        row = prod.to_bytes(w * s * (len(coords) - 1 - i), "little")
+        if w == 1:
+            yield row[t - 1 :: s].translate(mod_q)
+        else:
+            yield [int.from_bytes(row[k : k + w], "little") % q
+                   for k in range(w * (t - 1), len(row), w * s)]
 
 
 def is_isotropic(v: FieldVector) -> bool:

@@ -165,6 +165,18 @@ def test_missing_file_exit_code(capsys):
     assert run("verify", "--coloring", "/nonexistent/file", "--target", "3") == 2
 
 
+def test_non_canonical_integers_exit_2(tmp_path, capsys):
+    good = build_paley(5).to_text()
+    for k, bad in enumerate((good.replace("n=5", "n=05"), good.replace("1 2 2 1", "+1 02 2 1"))):
+        path = tmp_path / f"bad{k}.txt"
+        path.write_text(bad)
+        for argv in (["verify", "--coloring", str(path), "--target", "3"],
+                     ["compose", "--a", str(path), "--b", str(path)]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert capsys.readouterr().out == ""
+
+
 def test_non_ascii_file_exit_code(tmp_path, capsys):
     # a byte >= 0x80 on a provenance line makes the file malformed text:
     # exit 2 with one error line and no traceback, as for a missing file
@@ -349,6 +361,11 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
     assert verify_by_plain_search(cases["grown"], 9)[1].startswith("color 1: max clique 5")
     assert "color 2: max clique 4" in verify_by_plain_search(cases["t-zero-mod-q-sampled"], 9)[1]
     assert cli._products_match(col, *field_provenance(col))
+    # Only colors below q are checked against the products: a coin color
+    # on an edge of nonzero product leaves t a bound on colors 1 and 2.
+    coin = [list(r) for r in col.rows]
+    coin[0][coin[0].index(1)] = 3
+    assert cli._products_match(rewrite(col, rows=coin), *field_provenance(col))
     for name, edited in cases.items():
         # Either the file names no construct run, or the check rejects it.
         named = field_provenance(edited)

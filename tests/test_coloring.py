@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ramseylb import coloring as coloring_module
 from ramseylb.coloring import (
     ConstructionParams,
     EdgeColoring,
@@ -146,6 +147,24 @@ def test_field_coloring_matches_per_pair_reference(q, t, n):
         params = ConstructionParams(ground.modulus, t, seed, n)
         got = build_field_coloring(params, verts).to_text().splitlines()
         assert got == reference_build(params, verts).to_text().splitlines()
+
+
+def test_build_flips_one_coin_per_zero_product(monkeypatch):
+    calls = []
+
+    def counted(seed, identity):
+        calls.append(identity)
+        return pair_coin(seed, identity)
+
+    monkeypatch.setattr(coloring_module, "pair_coin", counted)
+    for q, t, n in [(3, 4, 33), (5, 4, 145), (2, 9, 200)]:
+        ground = enumerate_isotropic(PrimeModulus(q), t)
+        verts = sample_distinct(ground, n, make_rng(derive_seed(q, "sample")))
+        calls.clear()
+        build_field_coloring(ConstructionParams(ground.modulus, t, 5, n), verts)
+        zeros = [pair_identity(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :] if dot(u, v) == 0]
+        assert 0 < len(zeros) < math.comb(n, 2)
+        assert calls == zeros
 
 
 def reference_bitsets(col, color):
@@ -311,6 +330,28 @@ def test_file_format_names_the_bad_data_line():
             with pytest.raises(FormatError) as exc:
                 EdgeColoring.from_text("\n".join(lines) + "\n")
             assert str(exc.value) == message, (k, row)
+
+
+def test_file_format_spells_integers_one_way():
+    good = build_paley(5).to_text()
+    assert EdgeColoring.from_text(good.replace("1 2 2 1\n", "1  2\t2 1 \n")) == build_paley(5)
+    header, data = "n=5 colors=2", "1 2 2 1\n"
+    edits = [(header, "n=05 colors=2"), (header, "n=5 colors=02"), (header, "n=+5 colors=2"),
+             (header, "n=5 colors=\u0662"), (header, "n=05 colors=02"), (data, "+1 2 2 1\n"),
+             (data, "1 02 2 1\n"), (data, "1 2 0_2 1\n"), (data, "1 2 2 \u0661\n"), (data, "+1 02 2 1\n")]
+    for old, new in edits:
+        bad = good.replace(old, new)
+        assert bad != good
+        with pytest.raises(FormatError) as exc:
+            EdgeColoring.from_text(bad)
+        if old == data:
+            assert str(exc.value) == "non-canonical integer on data line 1"
+    vs = enumerate_isotropic(M3, 4).vectors[:12]
+    col = build_field_coloring(ConstructionParams(M3, 4, seed=7, n=12), vs)
+    assert field_provenance(col) == (3, 4, 12, 7)
+    for line in ("field-coloring q=03 t=4 n=12 seed=7", "field-coloring q=3 t=4 n=12 seed=07",
+                 "field-coloring q=3 t=+4 n=12 seed=7", "field-coloring q=3 t=4 n=1_2 seed=7"):
+        assert field_provenance(EdgeColoring(col.n, col.num_colors, col.rows, (line,))) is None
 
 
 def test_induced_validation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from ramseylb.field import (
     FieldVector,
     PrimeModulus,
     _eliminate,
+    _scalar_products,
     dot,
     is_isotropic,
     is_prime,
@@ -106,6 +108,42 @@ def test_is_isotropic_examples():
     assert is_isotropic(fv(M5, 0, 0, 0))
     assert is_isotropic(fv(M2, 1, 1, 0))
     assert not is_isotropic(fv(M3, 1, 0, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the scalar-product kernel
+# ---------------------------------------------------------------------------
+
+def pairwise_products(coords, q):
+    """The per-pair loop the kernel replaced, row i holding j > i."""
+    return [[sum(map(mul, x, y)) % q for y in coords[i + 1 :]] for i, x in enumerate(coords[:-1])]
+
+
+BIG_PRIME = 2**32 + 15
+
+
+@pytest.mark.parametrize("q, t", [
+    (2, 1), (3, 1), (5, 1), (11, 1), (257, 1), (BIG_PRIME, 1),
+    (2, 255),  # t(q-1)^2 = 255, the largest one-byte digit
+    (17, 1),  # t(q-1)^2 = 256, the smallest two-byte digit
+    (2, 9), (3, 4), (5, 4), (3, 63), (3, 64), (11, 2), (11, 3), (257, 6), (BIG_PRIME, 3),
+])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_scalar_products_match_the_pairwise_loop(q, t, n):
+    assert is_prime(q)
+    w = next(w for w in itertools.count(1) if 256**w > t * (q - 1) ** 2)
+    rng = random.Random(q * 1000 + t * 10 + n)
+    # Two all-(q-1) vectors give the largest digit the layout must hold.
+    coords = [(q - 1,) * t] * 2 + [tuple(rng.randrange(q) for _ in range(t)) for _ in range(n - 2)]
+    rows = list(_scalar_products(coords, q))
+    assert all(isinstance(row, bytes) == (w == 1) for row in rows)
+    assert [list(row) for row in rows] == pairwise_products(coords, q)
+    assert rows[0][0] == t * (q - 1) ** 2 % q
+
+
+def test_scalar_products_of_fewer_than_two_vectors():
+    assert list(_scalar_products([], 3)) == []
+    assert list(_scalar_products([(1, 2)], 3)) == []
 
 
 # ---------------------------------------------------------------------------
