@@ -84,11 +84,12 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
 
 def _relabel(adj: list[int], order: list[int]) -> list[int]:
     """adj with order[i] renamed i.  As adj is symmetric, column n-1-v of
-    the bit strings of adj[order[n-1]], ..., adj[order[0]] is v's new row."""
+    the bit strings of adj[order[n-1]], ..., adj[order[0]] is v's new row:
+    a slice of stride n through their concatenation."""
     n = len(order)
     spec = f"0{n}b"
-    cols = list(zip(*[format(adj[v], spec) for v in reversed(order)]))
-    return [int("".join(cols[n - 1 - v]), 2) for v in order]
+    mat = "".join([format(adj[v], spec) for v in reversed(order)])
+    return [int(mat[n - 1 - v :: n], 2) for v in order]
 
 
 class _ReachedUpper(Exception):

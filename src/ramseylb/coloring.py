@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CapacityError, FormatError, ParameterError
@@ -27,6 +28,7 @@ FORMAT_MAGIC = "ramsey-coloring 1"
 # never writes: a sign, an underscore, a non-ASCII digit or a leading zero.
 _INT = r"(0|[1-9][0-9]*)"
 _NOT_CANONICAL = re.compile(r"[^\s0-9]|0(?<![0-9]0)[0-9]")
+_ZEROS = b"0" * 256
 
 
 @dataclass(frozen=True)
@@ -57,18 +59,41 @@ class EdgeColoring:
                 if not 1 <= c <= self.num_colors:
                     raise ParameterError(f"color {c} outside [1, {self.num_colors}]")
 
-    def color_class_bitsets(self, color: int) -> list[int]:
-        """Adjacency of the chosen color class as per-vertex bitmasks."""
-        adj = [0] * self.n
+    @cached_property
+    def _matrix(self) -> bytes:
+        """The n x n color matrix, symmetric with a zero diagonal, as
+        bytes: row i fills both (i, j > i) and column i of rows j > i."""
+        n = self.n
+        mat = bytearray(n * n)
         for i, row in enumerate(self.rows):
-            bit = 1 << i
-            acc = 0
-            for j, c in enumerate(row, i + 1):
-                if c == color:
-                    acc |= 1 << j
-                    adj[j] |= bit
-            adj[i] |= acc
-        return adj
+            r = bytes(row)
+            mat[i * n + i + 1 : (i + 1) * n] = r
+            mat[(i + 1) * n + i :: n] = r
+        return bytes(mat)
+
+    def color_class_bitsets(self, color: int) -> list[int]:
+        """Adjacency of the chosen color class as per-vertex bitmasks.
+
+        Read from the color matrix, translated to "0"/"1" and reversed so
+        that vertex v's row, read as binary, has bit j for edge (v, j).
+        A palette above 255 colors does not fit bytes and is read per pair.
+        """
+        if not 1 <= color <= self.num_colors:
+            raise ParameterError(f"color {color} outside [1, {self.num_colors}]")
+        n = self.n
+        if self.num_colors > 255:
+            adj = [0] * n
+            for i, row in enumerate(self.rows):
+                bit = 1 << i
+                acc = 0
+                for j, c in enumerate(row, i + 1):
+                    if c == color:
+                        acc |= 1 << j
+                        adj[j] |= bit
+                adj[i] |= acc
+            return adj
+        bits = self._matrix.translate(_ZEROS[:color] + b"1" + _ZEROS[color + 1 :])[::-1]
+        return [int(bits[k : k + n], 2) for k in range((n - 1) * n, -1, -n)]
 
     def induced(self, indices: Sequence[int]) -> "EdgeColoring":
         """The coloring restricted to the given vertices, in the given order."""

@@ -402,6 +402,8 @@ def test_verify_witnesses_are_pinned(tmp_path, capsys):
         (construct(5, 4, 145), 4, 1, "10cbd4291511f95608398952e93ea4d959feffd47896baf8cc4aaa6ab119946c"),
         (construct(2, 9, 200), 9, 1, "c4cb65fea075aa3ab25a9e44e394bedc4478b32404ca662b184870eb1bd70d98"),
         (product, 4, 0, "966c71099bf1bc579b448f1dc9eee6eca77a1f8d65b5d7db41ee2488093dd0f9"),
+        # 258 colors: more than a byte holds, so the classes are read per pair
+        (construct(257, 2, 30), 3, 1, "1146019125af688866fea97c67c8f49cbf554ab25553f7f05232ecfe7b28f11b"),
     ]
     capsys.readouterr()
     for path, target, status, pinned in cases:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from ramseylb.coloring import (
     field_provenance,
     pair_identity,
 )
+from ramseylb.compose import blowup_product
 from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError
 from ramseylb.field import FieldVector, PrimeModulus, dot
 from ramseylb.isotropic import enumerate_isotropic, sample_distinct
@@ -176,13 +178,54 @@ def reference_bitsets(col, color):
     return adj
 
 
-@pytest.mark.parametrize("q, t, n", [(3, 4, 33), (5, 4, 145)])
-def test_color_class_bitsets_match_pairs_reference(q, t, n):
+def sampled_field_coloring(q, t, n):
     ground = enumerate_isotropic(PrimeModulus(q), t)
     verts = sample_distinct(ground, n, make_rng(derive_seed(7, "sample")))
-    col = build_field_coloring(ConstructionParams(ground.modulus, t, 7, n), verts)
-    for color in range(1, q + 2):
+    return build_field_coloring(ConstructionParams(ground.modulus, t, 7, n), verts)
+
+
+def random_coloring(n, num_colors, seed):
+    rng = random.Random(seed)
+    rows = tuple(tuple(rng.randint(1, num_colors) for _ in range(n - 1 - i)) for i in range(n - 1))
+    return EdgeColoring(n, num_colors, rows)
+
+
+# Up to 255 colors the classes are read from a byte matrix; a larger
+# palette, here 300 colors of which many are past 255, takes the
+# per-pair loop.
+BITSET_CASES = {
+    "3-4-33": lambda: sampled_field_coloring(3, 4, 33),
+    "5-4-145": lambda: sampled_field_coloring(5, 4, 145),
+    "2-9-200": lambda: sampled_field_coloring(2, 9, 200),
+    "n1": lambda: EdgeColoring(1, 3, ()),
+    "n2": lambda: EdgeColoring(2, 3, ((2,),)),
+    "paley13": lambda: build_paley(13),
+    "paley13-squared": lambda: blowup_product(build_paley(13), build_paley(13)),
+    "two-color-4-40-5": lambda: build_two_color(4, 40, 5),
+    "random-300-colors": lambda: random_coloring(60, 300, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(BITSET_CASES))
+def test_color_class_bitsets_match_pairs_reference(case):
+    col = BITSET_CASES[case]()
+    if col.num_colors > 255:
+        assert any(c > 255 for row in col.rows for c in row)
+    for color in range(1, col.num_colors + 1):
+        adj = col.color_class_bitsets(color)
+        assert adj == reference_bitsets(col, color)
+        # each call returns a list of its own
+        adj[0] ^= 1
         assert col.color_class_bitsets(color) == reference_bitsets(col, color)
+
+
+@pytest.mark.parametrize("col", [build_paley(5), random_coloring(5, 300, 2)], ids=["bytes", "loop"])
+def test_color_class_bitsets_reject_colors_outside_the_palette(col):
+    # these used to return an empty class
+    for color in (0, -1, col.num_colors + 1):
+        with pytest.raises(ParameterError, match=rf"color {color} outside \[1, {col.num_colors}\]"):
+            col.color_class_bitsets(color)
+
 
 def test_construction_params_validation():
     with pytest.raises(ParameterError):
