@@ -26,7 +26,7 @@ from .coloring import (
 from .compose import blowup_product
 from .errors import FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
-from .isotropic import DEFAULT_ENUM_CAP, enumerate_isotropic, sample_distinct
+from .isotropic import DEFAULT_ENUM_CAP, _check_enumeration_cap, enumerate_isotropic, sample_distinct
 from .moment import (
     CERTIFICATE_MAGIC,
     WitnessSearchFailure,
@@ -61,6 +61,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_enumerate(args) -> int:
+    _check_enumeration_cap(args.q, args.t, args.cap)
     ground = enumerate_isotropic(PrimeModulus(args.q), args.t, cap=args.cap)
     text = "".join(v.text_form() + "\n" for v in ground.vectors)
     return _write(text, args.out, f"enumerate: q={args.q} t={args.t} count={len(ground)}")
@@ -71,6 +72,7 @@ def _construct_sample(
 ) -> tuple[ConstructionParams, list[FieldVector]]:
     """The parameters and vertices of ``construct``: n distinct ground-set
     vectors of F_q^t, sampled under the seed."""
+    _check_enumeration_cap(q, t, cap)
     modulus = PrimeModulus(q)
     ground = enumerate_isotropic(modulus, t, cap=cap)
     verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "construct-sample")))
@@ -121,7 +123,7 @@ def _cmd_verify(args) -> int:
     text = _read(args.coloring)
     named = None
     if text.startswith(CERTIFICATE_MAGIC):
-        coloring = EdgeColoring.from_text(certificate_from_text(text).coloring_text)
+        coloring = certificate_from_text(text).coloring
     else:
         coloring = EdgeColoring.from_text(text)
         named = field_provenance(coloring)

@@ -196,13 +196,11 @@ def max_monochromatic_clique(
     clique_gram_det), which is nonzero mod q; then rank G = t + 1 > t, a
     contradiction.  So s <= t.
     """
-    if not 1 <= color <= coloring.num_colors:
-        raise ParameterError(f"color {color} outside [1, {coloring.num_colors}]")
     if cap < 1:
         raise ParameterError(f"node cap {cap} must be positive")
     if upper is not None and upper < 1:
         raise ParameterError(f"upper bound {upper} must be positive")
-    adj = coloring.color_class_bitsets(color)
+    adj = coloring.color_class_bitsets(color)  # which checks the color
     order = _degeneracy_order(adj, coloring.n)
     mask = _max_clique_mask(_relabel(adj, order), cap, upper)
     verts = []

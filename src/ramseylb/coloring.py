@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, FormatError, ParameterError
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
@@ -29,6 +29,14 @@ FORMAT_MAGIC = "ramsey-coloring 1"
 _INT = r"(0|[1-9][0-9]*)"
 _NOT_CANONICAL = re.compile(r"[^\s0-9]|0(?<![0-9]0)[0-9]")
 _ZEROS = b"0" * 256
+
+
+def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
+    """Digit strings as ints; None past int()'s limit, 4,300 digits by default."""
+    try:
+        return tuple(map(int, digits))
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -46,18 +54,22 @@ class EdgeColoring:
     provenance: tuple[str, ...] = dataclass_field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, k = self.n, self.num_colors
+        if type(n) is not int or type(k) is not int:
+            raise ParameterError(f"n and num_colors must be int: {n!r}, {k!r}")
+        if n < 1:
             raise ParameterError("a coloring needs at least one vertex")
-        if self.num_colors < 1:
+        if k < 1:
             raise ParameterError("a coloring needs at least one color")
-        if len(self.rows) != self.n - 1:
-            raise ParameterError(f"expected {self.n - 1} rows, got {len(self.rows)}")
+        if len(self.rows) != n - 1:
+            raise ParameterError(f"expected {n - 1} rows, got {len(self.rows)}")
         for i, row in enumerate(self.rows):
-            if len(row) != self.n - 1 - i:
-                raise ParameterError(f"row {i} has {len(row)} colors, expected {self.n - 1 - i}")
+            if len(row) != n - 1 - i:
+                raise ParameterError(f"row {i} has {len(row)} colors, expected {n - 1 - i}")
             for c in row:
-                if not 1 <= c <= self.num_colors:
-                    raise ParameterError(f"color {c} outside [1, {self.num_colors}]")
+                if type(c) is not int or not 1 <= c <= k:
+                    bad = f"outside [1, {k}]" if type(c) is int else "is not an int"
+                    raise ParameterError(f"color {c!r} {bad}")
 
     @cached_property
     def _matrix(self) -> bytes:
@@ -127,9 +139,10 @@ class EdgeColoring:
         if len(lines) < 2:
             raise FormatError("missing coloring header line")
         m = re.fullmatch(rf"n={_INT} colors={_INT}", lines[1])
-        if not m:
+        header = m and _ints(m.groups())
+        if not header:
             raise FormatError(f"bad coloring header: {lines[1]!r}")
-        n, num_colors = int(m.group(1)), int(m.group(2))
+        n, num_colors = header
         pos = 2
         provenance: list[str] = []
         while pos < len(lines) and lines[pos].startswith("#"):
@@ -165,10 +178,14 @@ class ConstructionParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.t < 1 or self.t % self.modulus.q == 0:
-            raise ParameterError(f"dimension t={self.t} must be nonzero mod q={self.modulus.q}")
-        if self.n < 2:
-            raise ParameterError("need at least two vertices")
+        _check_construction(self.modulus.q, self.t, self.n)
+
+
+def _check_construction(q: int, t: int, n: int) -> None:
+    if t < 1 or t % q == 0:
+        raise ParameterError(f"dimension t={t} must be nonzero mod q={q}")
+    if n < 2:
+        raise ParameterError("need at least two vertices")
 
 
 def pair_identity(u: FieldVector, v: FieldVector) -> str:
@@ -224,9 +241,10 @@ def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None
     if not coloring.provenance:
         return None
     m = re.fullmatch(rf"field-coloring q={_INT} t={_INT} n={_INT} seed={_INT}", coloring.provenance[0])
-    if not m:
+    fields = m and _ints(m.groups())
+    if not fields:
         return None
-    q, t, n, seed = map(int, m.groups())
+    q, t, n, seed = fields
     if n != coloring.n or q + 1 != coloring.num_colors or t < 1:
         return None
     return q, t, n, seed

@@ -35,6 +35,8 @@ class PrimeModulus:
     q: int
 
     def __post_init__(self) -> None:
+        if type(self.q) is not int:
+            raise ParameterError(f"modulus must be int: {self.q!r}")
         if not is_prime(self.q):
             raise ParameterError(f"modulus must be prime, got {self.q}")
 

@@ -36,17 +36,24 @@ class IsotropicSet:
         return len(self.vectors)
 
 
-def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_CAP) -> IsotropicSet:
-    """All vectors of F_q^t orthogonal to themselves, in lexicographic order."""
-    q = modulus.q
+def _check_enumeration_cap(q: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> None:
+    """Raise ResourceCapError when F_q^t has more than cap vectors.  Callers
+    run this before q's primality test, whose trial division takes time
+    growing as sqrt(q), and leave a q that is not an int above 1 to
+    PrimeModulus.  q^t >= 2^t is over the cap once t passes the cap's bit
+    length; the power is then not computed, and no message writes it out."""
     if t < 1:
         raise ParameterError("dimension t must be positive")
     if cap < 1:
         raise ParameterError(f"enumeration cap {cap} must be positive")
-    # q^t >= 2^t exceeds the cap when t passes its bit length; the power
-    # is neither computed then nor ever written out in full.
-    if t > cap.bit_length() or q**t > cap:
+    if type(q) is int and q > 1 and (t > cap.bit_length() or q**t > cap):
         raise ResourceCapError(f"q^t = {q}^{t} exceeds enumeration cap {cap}")
+
+
+def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_CAP) -> IsotropicSet:
+    """All vectors of F_q^t orthogonal to themselves, in lexicographic order."""
+    q = modulus.q
+    _check_enumeration_cap(q, t, cap)
     vectors = [
         FieldVector(modulus, coords)
         for coords in itertools.product(range(q), repeat=t)

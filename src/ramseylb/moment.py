@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,11 +33,15 @@ from .cliques import (  # noqa: F401
     max_monochromatic_clique,
     monochromatic_cliques,
 )
-from .coloring import ConstructionParams, EdgeColoring, _field_line, build_field_coloring, pair_identity
+from .coloring import (
+    _INT, ConstructionParams, EdgeColoring, _check_construction, _field_line, _ints,
+    build_field_coloring, pair_identity,
+)
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus
 from .isotropic import (
     IsotropicSet,
+    _check_enumeration_cap,
     _float_threshold,
     bernoulli_subset,
     enumerate_isotropic,
@@ -59,11 +64,18 @@ def recommended_n(q: int, t: int, slack: SlackLike = 0) -> int:
     return floor_power_product([(2, Fraction(t, 2)), (q, Fraction(3 * t, 8) + s)])
 
 
-def _check_clique_order(t: int) -> None:
-    """The estimators count cliques whose C(t, 2) coins all agree; below
-    t = 2 a clique has no pairs and so no color."""
+def _moment_ground(q: int, t: int, p) -> IsotropicSet:
+    """The ground set of F_q^t, once the estimators' shared arguments are
+    checked: t >= 2, as they count cliques whose pairs' coins all agree,
+    p in [0, 1], the enumeration cap, and last q's primality."""
     if t < 2:
         raise ParameterError(f"t={t}: a monochromatic clique needs t >= 2")
+    # Compared before any conversion, which raises ValueError for NaN and
+    # OverflowError for an infinity.
+    if not 0 <= p <= 1:
+        raise ParameterError(f"probability {p} outside [0, 1]")
+    _check_enumeration_cap(q, t)
+    return enumerate_isotropic(PrimeModulus(q), t)
 
 
 def _clique_table(
@@ -93,14 +105,8 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
     pairs of its surviving potential cliques.  Exponential; ground sets
     above _SUBSET_CAP vectors raise ResourceCapError.
     """
-    modulus = PrimeModulus(q)
-    _check_clique_order(t)
-    # Compared before the conversion, which raises ValueError for NaN and
-    # OverflowError for an infinity.
-    if not 0 <= p <= 1:
-        raise ParameterError(f"probability {p} outside [0, 1]")
+    ground = _moment_ground(q, t, p)
     pf = Fraction(p)
-    ground = enumerate_isotropic(modulus, t)
     m = len(ground)
     if m > _SUBSET_CAP:
         raise ResourceCapError(f"{m} vectors is beyond exact subset enumeration (cap {_SUBSET_CAP})")
@@ -155,16 +161,12 @@ def monte_carlo_mono_count(
     Each trial draws a fresh Bernoulli-p subset and a fresh pair-keyed
     coin seed, both derived from (seed, trial index).
     """
-    modulus = PrimeModulus(q)
-    _check_clique_order(t)
     if n_trials < 1:
         raise ParameterError("need at least one trial")
-    if not 0 <= p <= 1:
-        raise ParameterError(f"probability {p} outside [0, 1]")
+    ground = _moment_ground(q, t, p)
     # Every trial draws against the same float, whose comparisons equal
     # those with p, and which bernoulli_subset takes as it is.
     threshold = _float_threshold(p)
-    ground = enumerate_isotropic(modulus, t)
     pairs, table = _clique_table(ground, t)
     pair_ids = [pair_identity(ground.vectors[a], ground.vectors[b]) for a, b in pairs]
     index = {v.coords: i for i, v in enumerate(ground.vectors)}
@@ -256,7 +258,7 @@ class WitnessCertificate:
     seed: int
     attempt: int
     vectors: tuple[FieldVector, ...]
-    coloring_text: str
+    coloring: EdgeColoring
     max_clique_sizes: tuple[int, ...]
     verdict: str
 
@@ -328,10 +330,9 @@ def _run_attempt(
     seed, which is what reverify rebuilds.
     """
     sk = attempt_seed(seed, attempt)
-    modulus = PrimeModulus(q)
     m = min(len(ground), 2 * n)
     sample = sample_distinct(ground, m, make_rng(sk))
-    col = build_field_coloring(ConstructionParams(modulus, t, sk, m), sample)
+    col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m), sample)
     cliques = monochromatic_cliques(col, t, node_cap)
     masks = [sum(1 << v for v in c.vertices) for c in cliques]
     deleted = _hitting_set(masks, m - n, node_cap)
@@ -346,7 +347,7 @@ def _run_attempt(
     sizes = tuple(max_monochromatic_clique(kept_col, c, node_cap).size for c in range(1, q + 2))
     assert all(s < t for s in sizes), "deletion left a monochromatic K_t"
     kept = tuple(sample[i] for i in keep)
-    return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col.to_text(), sizes, "pass")
+    return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col, sizes, "pass")
 
 
 def _pooled_attempts(q, t, ground, n, seed, attempts, workers, node_cap):
@@ -390,17 +391,18 @@ def find_witness(
     in the calling process.  The lowest successful attempt index always
     wins, making the outcome identical to a sequential run.
     """
-    modulus = PrimeModulus(q)
-    # t and n are checked as every attempt's coloring checks them, before
-    # the ground set's enumeration cap.
-    ConstructionParams(modulus, t, seed, n)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
     if jobs < 1:
         raise ParameterError("need at least one job")
     if node_cap < 1:
         raise ParameterError(f"node cap {node_cap} must be positive")
-    ground = enumerate_isotropic(modulus, t)
+    # t and n as every attempt's coloring checks them, the enumeration cap,
+    # and last q's primality, which a q that is not an int above 1 fails at once.
+    if type(q) is int and q > 1:
+        _check_construction(q, t, n)
+        _check_enumeration_cap(q, t)
+    ground = enumerate_isotropic(PrimeModulus(q), t)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
     # Attempt 1 runs in this process, and the generator's pool starts only
@@ -424,22 +426,17 @@ def find_witness(
 
 
 def reverify(cert: WitnessCertificate) -> bool:
-    """Rebuild the coloring from the stored fields, compare byte for byte,
-    and re-run the clique search; True only when everything matches."""
+    """Rebuild the coloring from the stored fields, compare its rows and
+    provenance, re-run the clique search; True only when all match."""
     try:
-        modulus = PrimeModulus(cert.q)
-        if cert.num_colors != cert.q + 1:
-            return False
-        if cert.verdict != "pass":
+        if cert.num_colors != cert.q + 1 or cert.verdict != "pass":
             return False
         sk = attempt_seed(cert.seed, cert.attempt)
-        params = ConstructionParams(modulus, cert.t, sk, cert.n)
+        params = ConstructionParams(PrimeModulus(cert.q), cert.t, sk, cert.n)
         rebuilt = build_field_coloring(params, cert.vectors)
-        if rebuilt.to_text() != cert.coloring_text:
+        if rebuilt != cert.coloring or rebuilt.provenance != cert.coloring.provenance:
             return False
-        sizes = tuple(
-            max_monochromatic_clique(rebuilt, c).size for c in range(1, cert.num_colors + 1)
-        )
+        sizes = tuple(max_monochromatic_clique(rebuilt, c).size for c in range(1, cert.num_colors + 1))
         if sizes != cert.max_clique_sizes:
             return False
         return all(s < cert.t for s in sizes)
@@ -448,73 +445,44 @@ def reverify(cert: WitnessCertificate) -> bool:
 
 
 def certificate_to_text(cert: WitnessCertificate) -> str:
-    lines = [
-        CERTIFICATE_MAGIC,
-        f"q={cert.q}",
-        f"t={cert.t}",
-        f"colors={cert.num_colors}",
-        f"n={cert.n}",
-        f"seed={cert.seed}",
-        f"attempt={cert.attempt}",
-        "max-clique-sizes=" + " ".join(str(s) for s in cert.max_clique_sizes),
-        f"verdict={cert.verdict}",
-        "vectors:",
-    ]
-    lines.extend(v.text_form() for v in cert.vectors)
-    lines.append("coloring:")
-    return "\n".join(lines) + "\n" + cert.coloring_text
+    sizes = " ".join(map(str, cert.max_clique_sizes))
+    lines = [CERTIFICATE_MAGIC, f"q={cert.q}", f"t={cert.t}", f"colors={cert.num_colors}", f"n={cert.n}",
+             f"seed={cert.seed}", f"attempt={cert.attempt}", f"max-clique-sizes={sizes}",
+             f"verdict={cert.verdict}", "vectors:", *(v.text_form() for v in cert.vectors), "coloring:"]
+    return "\n".join(lines) + "\n" + cert.coloring.to_text()
 
 
-def _header_int(lines: list[str], pos: int, key: str) -> int:
-    if pos >= len(lines) or not lines[pos].startswith(key + "="):
-        raise FormatError(f"expected '{key}=' on certificate line {pos + 1}")
-    try:
-        return int(lines[pos][len(key) + 1 :])
-    except ValueError as exc:
-        raise FormatError(f"non-integer value for '{key}'") from exc
+# The header as certificate_to_text writes it, up to its vector lines.
+_HEADER = re.compile(
+    "\n".join([CERTIFICATE_MAGIC, *(f"{key}={_INT}" for key in ("q", "t", "colors", "n", "seed", "attempt"))])
+    + "\nmax-clique-sizes=([0-9 ]*)\nverdict=(.*)\nvectors:\n"
+)
 
 
 def certificate_from_text(text: str) -> WitnessCertificate:
-    head, sep, coloring_text = text.partition("\ncoloring:\n")
-    if not sep:
-        raise FormatError("certificate is missing its coloring block")
-    lines = head.splitlines()
-    if not lines or lines[0] != CERTIFICATE_MAGIC:
-        raise FormatError("missing certificate magic line")
-    q = _header_int(lines, 1, "q")
-    t = _header_int(lines, 2, "t")
-    num_colors = _header_int(lines, 3, "colors")
-    n = _header_int(lines, 4, "n")
-    seed = _header_int(lines, 5, "seed")
-    attempt = _header_int(lines, 6, "attempt")
-    if len(lines) < 9 or not lines[7].startswith("max-clique-sizes="):
-        raise FormatError("expected 'max-clique-sizes=' on certificate line 8")
-    try:
-        sizes = tuple(int(x) for x in lines[7][len("max-clique-sizes=") :].split())
-    except ValueError as exc:
-        raise FormatError("non-integer clique size") from exc
-    if not lines[8].startswith("verdict="):
-        raise FormatError("expected 'verdict=' on certificate line 9")
-    verdict = lines[8][len("verdict=") :]
-    if len(lines) < 10 or lines[9] != "vectors:":
-        raise FormatError("expected 'vectors:' on certificate line 10")
-    vector_lines = lines[10:]
+    """The certificate in the one spelling certificate_to_text writes: it
+    must render back to the text, coloring block included.  Before any
+    vector is parsed, q + 1 colors and as many sizes, and every vector
+    line starting "q t ", make the file pay in length for q's primality test."""
+    m = _HEADER.match(text)
+    ints = m and _ints([*m.groups()[:6], *m[7].split()])
+    if not ints:
+        raise FormatError("certificate header is not in canonical form")
+    q, t, num_colors, n, seed, attempt, *sizes = ints
+    if num_colors != q + 1 or len(sizes) != num_colors:
+        raise FormatError(f"expected colors={q + 1} and {q + 1} clique sizes")
+    # With no coloring block, the vector count or the block's parse fails.
+    body, _, block = text[m.end() :].partition("coloring:\n")
+    vector_lines = body.splitlines()
     if len(vector_lines) != n:
         raise FormatError(f"expected {n} vector lines, found {len(vector_lines)}")
-    vectors = tuple(FieldVector.from_text(line) for line in vector_lines)
-    for v in vectors:
-        if v.q != q or len(v) != t:
-            raise FormatError("vector does not match the certificate's q and t")
-    if len(sizes) != num_colors:
-        raise FormatError(f"expected {num_colors} clique sizes, found {len(sizes)}")
-    embedded = EdgeColoring.from_text(coloring_text)
-    if embedded.n != n or embedded.num_colors != num_colors:
+    if not all(line.startswith(f"{q} {t} ") for line in vector_lines):
+        raise FormatError(f"vector line not in canonical form '{q} {t} c1 ... ct'")
+    vectors = tuple(map(FieldVector.from_text, vector_lines))
+    coloring = EdgeColoring.from_text(block)
+    if coloring.n != n or coloring.num_colors != num_colors:
         raise FormatError("embedded coloring disagrees with the certificate header")
-    cert = WitnessCertificate(
-        q, t, num_colors, n, seed, attempt, vectors, coloring_text, sizes, verdict
-    )
-    # int() also reads "+5", " 14", "01" and "0_3"; only the one spelling
-    # that certificate_to_text writes is a certificate.
+    cert = WitnessCertificate(q, t, num_colors, n, seed, attempt, vectors, coloring, tuple(sizes), m[8])
     if certificate_to_text(cert) != text:
         raise FormatError("certificate is not in canonical form")
     return cert

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ramseylb import cli
+from ramseylb import cli, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, build_paley, field_provenance
@@ -167,7 +167,18 @@ def test_missing_file_exit_code(capsys):
 
 def test_non_canonical_integers_exit_2(tmp_path, capsys):
     good = build_paley(5).to_text()
-    for k, bad in enumerate((good.replace("n=5", "n=05"), good.replace("1 2 2 1", "+1 02 2 1"))):
+    cert = certificate_to_text(find_witness(3, 4, 14, 60, seed=1))
+    row = cert.split("coloring:\n")[1].splitlines()[3]
+    bads = (
+        good.replace("n=5", "n=05"),
+        good.replace("1 2 2 1", "+1 02 2 1"),
+        good.replace("n=5", "n=" + "5" * 5000),  # more digits than int() reads
+        # a certificate's coloring block is held to the one spelling certify writes
+        cert.replace("\n" + row + "\n", "\n" + row.replace(" ", "  ", 1) + "\n"),
+        # q = 3 needs four colors, even where the header, sizes and block agree on five
+        re.sub(r"(max-clique-sizes=.*)\n", r"\1 1\n", cert.replace("colors=4\n", "colors=5\n")),
+    )
+    for k, bad in enumerate(bads):
         path = tmp_path / f"bad{k}.txt"
         path.write_text(bad)
         for argv in (["verify", "--coloring", str(path), "--target", "3"],
@@ -175,6 +186,31 @@ def test_non_canonical_integers_exit_2(tmp_path, capsys):
             capsys.readouterr()
             assert run(*argv) == 2
             assert capsys.readouterr().out == ""
+
+
+def test_verify_of_a_certificate_parses_its_coloring_block_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "w.cert"
+    path.write_text(certificate_to_text(find_witness(3, 4, 14, 60, seed=1)))
+    parsed = []
+    real = EdgeColoring.from_text
+    monkeypatch.setattr(EdgeColoring, "from_text", staticmethod(lambda text: parsed.append(text) or real(text)))
+    assert run("verify", "--coloring", str(path), "--target", "4") == 0
+    assert len(parsed) == 1
+
+
+def test_an_enumeration_over_the_cap_exits_3_before_the_primality_test(monkeypatch, capsys):
+    # q^t over the cap needs no primality test, which takes seconds at q = 10^16 + 61
+    tested = []
+    monkeypatch.setattr(field, "is_prime", tested.append)
+    big = str(10**16 + 61)
+    for argv in [("enumerate", "--q", big, "--t", "1"),
+                 ("construct", "--q", big, "--t", "1", "--n", "2"),
+                 ("certify", "--q", big, "--t", "1", "--n", "2"),
+                 # a composite q over the cap exits 3 as well
+                 ("enumerate", "--q", "4", "--t", "10")]:
+        assert run(*argv) == 3, argv
+        assert capsys.readouterr().err.startswith("error: q^t = "), argv
+    assert tested == []
 
 
 def test_non_ascii_file_exit_code(tmp_path, capsys):
@@ -354,6 +390,8 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
         # samples 8 of the 9 vectors of (3, 3); color 2 has a K_4 above t = 3
         "t-zero-mod-q-sampled": rewrite(small, provenance=("field-coloring q=3 t=3 n=8 seed=2",)),
         "more-colors": rewrite(col, num_colors=6),
+        # a seed of more digits than int() reads names no construct run
+        "huge-seed": rewrite(col, provenance=("field-coloring q=3 t=4 n=33 seed=" + "1" * 5000,)),
         "induced": col.induced(range(20)),
         "permuted": col.induced(range(32, -1, -1)),
         "composed": blowup_product(build_paley(5), col),

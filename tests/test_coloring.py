@@ -336,6 +336,11 @@ def test_coloring_accessor_and_validation():
         EdgeColoring(3, 2, ((1, 3), (2,)))  # color out of range
     with pytest.raises(ParameterError):
         EdgeColoring(3, 2, ((1,), (2,)))  # bad row length
+    # n, num_colors and every color must be exactly int
+    for args in [(3.0, 2, ((1, 2), (2,))), (3, 2.0, ((1, 2), (2,))), (True, 2, ()),
+                 (3, 2, ((1, 1.0), (2,))), (3, 2, ((True, 2), (2,))), (3, 2, ((1, 2), ("2",)))]:
+        with pytest.raises(ParameterError):
+            EdgeColoring(*args)
 
 
 def test_file_format_roundtrip():
@@ -354,6 +359,7 @@ def test_file_format_rejects_malformed():
         good.replace("n=5", "n=6"),  # wrong data line count
         good[:-3] + "9\n",  # out-of-range color
         good + "1 1\n",  # trailing junk
+        good.replace("n=5", "n=" + "5" * 5000),  # more digits than int() reads
     ]
     for text in cases:
         with pytest.raises(FormatError):
@@ -393,7 +399,8 @@ def test_file_format_spells_integers_one_way():
     col = build_field_coloring(ConstructionParams(M3, 4, seed=7, n=12), vs)
     assert field_provenance(col) == (3, 4, 12, 7)
     for line in ("field-coloring q=03 t=4 n=12 seed=7", "field-coloring q=3 t=4 n=12 seed=07",
-                 "field-coloring q=3 t=+4 n=12 seed=7", "field-coloring q=3 t=4 n=1_2 seed=7"):
+                 "field-coloring q=3 t=+4 n=12 seed=7", "field-coloring q=3 t=4 n=1_2 seed=7",
+                 "field-coloring q=3 t=4 n=12 seed=" + "7" * 5000):
         assert field_provenance(EdgeColoring(col.n, col.num_colors, col.rows, (line,))) is None
 
 

@@ -36,7 +36,8 @@ def test_prime_modulus_accepts_primes():
         assert PrimeModulus(q).q == q
 
 
-@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 91])
+# A float or a bool is not a modulus either; 3.0 once printed vectors as "3.0 3 1.0 1.0 1.0".
+@pytest.mark.parametrize("bad", [0, 1, 4, 6, 9, 15, 91, 3.0, True, 5.0])
 def test_prime_modulus_rejects_composites(bad):
     with pytest.raises(ParameterError):
         PrimeModulus(bad)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import statistics
+import time
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylb import moment
+from ramseylb import field, moment
 from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
@@ -303,7 +304,7 @@ def test_find_witness_success_roundtrip(fixture_certificate):
     assert cert.verdict == "pass"
     assert reverify(cert)
     # stored sizes match an independent recount on the stored coloring
-    col = EdgeColoring.from_text(cert.coloring_text)
+    col = cert.coloring
     for color in range(1, 5):
         assert max_monochromatic_clique(col, color).size == cert.max_clique_sizes[color - 1]
 
@@ -349,7 +350,7 @@ def test_find_witness_kept_coloring_has_no_monochromatic_t_subset(n, seed):
     # checked without the branch-and-bound clique solver.
     cert = find_witness(3, 4, n, 200, seed)
     assert isinstance(cert, WitnessCertificate)
-    col = EdgeColoring.from_text(cert.coloring_text)
+    col = cert.coloring
     for sub in itertools.combinations(range(n), 4):
         colors = {col.rows[a][b - a - 1] for a, b in itertools.combinations(sub, 2)}
         assert len(colors) > 1, f"monochromatic 4-subset {sub}"
@@ -365,7 +366,7 @@ def test_find_witness_certificate_is_the_rebuild():
             cert = find_witness(3, 4, n, 3, seed)
             assert isinstance(cert, WitnessCertificate), (n, seed)
             params = ConstructionParams(PrimeModulus(3), 4, attempt_seed(seed, cert.attempt), n)
-            assert cert.coloring_text == build_field_coloring(params, cert.vectors).to_text()
+            assert cert.coloring.to_text() == build_field_coloring(params, cert.vectors).to_text()
             digest.update(certificate_to_text(cert).encode())
     assert digest.hexdigest() == "d711135b386e5c755d4311ce436e6a07c35c6e0ea858b6b934828de89dd1b6eb"
 
@@ -513,6 +514,9 @@ def test_reverify_rejects_header_and_vector_tampering(fixture_certificate):
     # replace the first stored vector by one that is not self-orthogonal
     lines[vec_line] = "3 4 1 0 0 0\n"
     tampered.append("".join(lines))
+    # the seed on the embedded coloring's provenance line
+    sk = attempt_seed(cert.seed, cert.attempt)
+    tampered.append(text.replace(f" seed={sk}\n", f" seed={sk + 1}\n"))
     for bad in tampered:
         assert not reverify_text(bad)
 
@@ -524,6 +528,7 @@ def test_certificates_spell_integers_one_way():
     assert text.splitlines()[5:11] == [
         "seed=5", "attempt=1", "max-clique-sizes=3 3 3 3", "verdict=pass", "vectors:", "3 4 2 0 2 2"
     ]
+    row = text.split("coloring:\n")[1].splitlines()[3]  # after magic, header and provenance
     edits = [
         ("seed=5\n", "seed=+5\n"),
         ("n=14\n", "n= 14\n"),
@@ -531,6 +536,9 @@ def test_certificates_spell_integers_one_way():
         ("q=3\n", "q=0_3\n"),
         ("max-clique-sizes=3", "max-clique-sizes= 3"),
         ("vectors:\n3 4 2 0 2 2\n", "vectors:\n3 04 02 00 2 2\n"),
+        # the embedded coloring block is held to the same one spelling
+        ("\n" + row + "\n", "\n" + row.replace(" ", "  ", 1) + "\n"),
+        ("\n# field-coloring ", "\n#field-coloring "),
     ]
     for old, new in edits:
         bad = text.replace(old, new, 1)
@@ -539,6 +547,42 @@ def test_certificates_spell_integers_one_way():
             certificate_from_text(bad)
         assert not reverify_text(bad)
     assert reverify_text(text)
+
+
+def test_certificate_header_bounds_the_vectors_before_they_are_parsed(fixture_certificate, monkeypatch):
+    text = certificate_to_text(fixture_certificate)
+    sizes = " ".join(map(str, fixture_certificate.max_clique_sizes))
+    # five colors for q = 3, in the header and the embedded block, and five sizes
+    wide = text.replace("colors=4\n", "colors=5\n").replace(f"sizes={sizes}\n", f"sizes={sizes} 1\n")
+    with pytest.raises(FormatError, match="expected colors=4 and 4 clique sizes"):
+        certificate_from_text(wide)
+    with pytest.raises(FormatError, match="expected colors=4 and 4 clique sizes"):
+        certificate_from_text(text.replace(f"sizes={sizes}\n", f"sizes={sizes} 1\n"))
+    # A 15-digit prime modulus on a vector line is refused by its prefix,
+    # not by trial division, which takes about a second.
+    first = text.split("vectors:\n")[1].split("\n")[0]
+    slow = text.replace(first, "100000000000031 4" + first[3:], 1)
+    tested = []
+    real = field.is_prime
+    monkeypatch.setattr(field, "is_prime", lambda q: tested.append(q) or real(q))
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="canonical"):
+        certificate_from_text(slow)
+    assert time.perf_counter() - start < 0.1
+    assert 100000000000031 not in tested
+
+
+def test_an_enumeration_over_the_cap_is_refused_before_the_primality_test(monkeypatch):
+    # q^t over the cap needs no primality test, which takes seconds at q = 10^16 + 61
+    tested = []
+    monkeypatch.setattr(field, "is_prime", tested.append)
+    big = 10**16 + 61
+    for call in (lambda: exact_mono_expectation(big, 2, Fraction(1, 2)),
+                 lambda: monte_carlo_mono_count(big, 2, 5, Fraction(1, 2), seed=1),
+                 lambda: find_witness(big, 1, 2, 5, seed=1)):
+        with pytest.raises(ResourceCapError):
+            call()
+    assert tested == []
 
 
 def test_reverify_rejects_a_seed_outside_64_bits():
@@ -560,7 +604,8 @@ _EDITS = st.lists(
     st.tuples(
         st.sampled_from(["replace", "insert", "delete"]),
         st.integers(min_value=0),
-        st.one_of(st.sampled_from("0123456789 -=#:\n"), st.characters()),
+        # a run of digits past int()'s 4,300-digit limit, as well as characters
+        st.one_of(st.sampled_from([*"0123456789 -=#:\n", "1" * 5000]), st.characters()),
     ),
     min_size=1,
     max_size=4,
@@ -580,7 +625,7 @@ def _mutate(text, edits):
 @settings(max_examples=150, deadline=None)
 @given(edits=_EDITS)
 def test_parsers_raise_only_format_error_on_mutated_text(fixture_certificate, edits):
-    for text in (certificate_to_text(fixture_certificate), fixture_certificate.coloring_text):
+    for text in (certificate_to_text(fixture_certificate), fixture_certificate.coloring.to_text()):
         bad = _mutate(text, edits)
         for parse in (certificate_from_text, EdgeColoring.from_text):
             try:
