@@ -14,10 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceCapError
 from .field import is_prime
 
 SlackLike = Union[int, float, str, Fraction]
+
+# The most bits of the power that floor_power_product roots, and so of a
+# bound's value.  A root of a random power of this size took at most
+# 0.21 s on a 2-core VM, at nine root indices from 2 to 65,536, while the
+# tables of the package's tests and benchmark need a few hundred bits.
+# It also keeps the colors of a `bounds` table, whose baseline power
+# grows with them, small enough for the primality test of colors - 1.
+MAX_RADICAND_BITS = 2**16
 
 TAG_CLASSICAL_2COLOR = "classical-2color"
 TAG_CLASSICAL_3COLOR = "classical-3color"
@@ -60,7 +68,14 @@ def integer_root(n: int, k: int) -> int:
 
 
 def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:
-    """floor of a product of integer bases raised to rational exponents."""
+    """floor of a product of integer bases raised to rational exponents.
+
+    With d the exponents' common denominator, the d-th root is taken of
+    the product of the powers b^(e d) with e > 0, at most 2^bits with
+    bits the sum of e d ceil(log2 b); the result is at most 2^(bits / d).
+    When bits exceeds MAX_RADICAND_BITS, ResourceCapError is raised
+    before any power is formed.
+    """
     fs = [(int(b), Fraction(e)) for b, e in factors]
     for b, _ in fs:
         if b < 1:
@@ -68,6 +83,9 @@ def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:
     d = 1
     for _, e in fs:
         d = math.lcm(d, e.denominator)
+    bits = sum(int(e * d) * (b - 1).bit_length() for b, e in fs if e > 0)
+    if bits > MAX_RADICAND_BITS:
+        raise ResourceCapError(f"bound needs a {bits}-bit power, above the cap of {MAX_RADICAND_BITS} bits")
     num = 1
     den = 1
     for b, e in fs:

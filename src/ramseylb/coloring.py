@@ -13,6 +13,8 @@ the coloring built directly on that subset with the same seed.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
@@ -29,6 +31,7 @@ FORMAT_MAGIC = "ramsey-coloring 1"
 _INT = r"(0|[1-9][0-9]*)"
 _NOT_CANONICAL = re.compile(r"[^\s0-9]|0(?<![0-9]0)[0-9]")
 _ZEROS = b"0" * 256
+_BYTES = bytes(range(256))
 
 
 def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
@@ -37,6 +40,20 @@ def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
         return tuple(map(int, digits))
     except ValueError:
         return None
+
+
+def _colors_fit(rows: Sequence[Sequence[int]], k: int) -> bool:
+    """Whether every color is an exact int in [1, k], decided in C:
+    type() runs none of a color's code, so bytes() meets only ints, and
+    it refuses one outside [0, 255].  So a color above 255 answers no,
+    also when k allows it."""
+    colors = list(itertools.chain.from_iterable(rows))
+    if operator.countOf(map(type, colors), int) != len(colors):
+        return False
+    try:
+        return not bytes(colors).translate(None, _BYTES[1 : k + 1])
+    except ValueError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,9 @@ class EdgeColoring:
             raise ParameterError("a coloring needs at least one color")
         if len(self.rows) != n - 1:
             raise ParameterError(f"expected {n - 1} rows, got {len(self.rows)}")
+        if list(map(len, self.rows)) == list(range(n - 1, 0, -1)) and _colors_fit(self.rows, k):
+            return
+        # Walked pair by pair only when a check fails, to report its first fault.
         for i, row in enumerate(self.rows):
             if len(row) != n - 1 - i:
                 raise ParameterError(f"row {i} has {len(row)} colors, expected {n - 1 - i}")

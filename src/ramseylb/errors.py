@@ -26,4 +26,4 @@ class FormatError(ParameterError):
 
 
 class ResourceCapError(RamseyLBError):
-    """An explicit enumeration or search node cap was exceeded."""
+    """An explicit enumeration, search node or bound size cap was exceeded."""

@@ -9,6 +9,7 @@ stays exact for every prime modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import DimensionError, FormatError, ParameterError
@@ -43,7 +44,12 @@ class PrimeModulus:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """A vector over F_q with coordinates reduced into [0, q)."""
+    """A vector over F_q with coordinates reduced into [0, q).
+
+    Its self-product and text form are computed on first read and kept
+    on the instance, pickled with it, so a vector shared across builds
+    pays for them once.
+    """
 
     modulus: PrimeModulus
     coords: tuple[int, ...]
@@ -63,9 +69,18 @@ class FieldVector:
     def __len__(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def self_product(self) -> int:
+        """<v, v> in F_q."""
+        return sum(c * c for c in self.coords) % self.q
+
+    @cached_property
+    def _text(self) -> str:
+        return f"{self.q} {len(self.coords)} " + " ".join(str(c) for c in self.coords)
+
     def text_form(self) -> str:
         """``q t c1 ... ct``, the serialization used inside file formats."""
-        return f"{self.q} {len(self.coords)} " + " ".join(str(c) for c in self.coords)
+        return self._text
 
     @classmethod
     def from_text(cls, line: str) -> "FieldVector":
@@ -79,11 +94,13 @@ class FieldVector:
             raise FormatError(f"non-integer token in vector line: {line!r}") from exc
         if len(coords) != t:
             raise FormatError(f"vector line declares t={t} but has {len(coords)} coordinates")
-        if not is_prime(q):
-            raise FormatError(f"vector line has non-prime modulus {q}")
+        try:
+            modulus = PrimeModulus(q)
+        except ParameterError as exc:
+            raise FormatError(f"vector line has non-prime modulus {q}") from exc
         if any(not 0 <= c < q for c in coords):
             raise FormatError(f"vector coordinate outside [0, {q}): {line!r}")
-        return cls(PrimeModulus(q), coords)
+        return cls(modulus, coords)
 
 
 def _check_compatible(u: FieldVector, v: FieldVector) -> None:
@@ -127,7 +144,7 @@ def _scalar_products(coords: Sequence[Sequence[int]], q: int) -> Iterator[bytes 
 
 def is_isotropic(v: FieldVector) -> bool:
     """True iff v is orthogonal to itself."""
-    return dot(v, v) == 0
+    return v.self_product == 0
 
 
 def _eliminate(rows: Sequence[Sequence[int]], q: int) -> tuple[int, int | None]:

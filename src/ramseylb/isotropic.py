@@ -22,15 +22,21 @@ class IsotropicSet:
     vectors: tuple[FieldVector, ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[int, ...]] = set()
+        """One pass per vector, modulus and dimension, then the
+        self-product (kept on the vector); then duplicates, by the size
+        of the set of coordinate tuples."""
+        q, dimension = self.modulus.q, self.dimension
         for v in self.vectors:
-            if v.modulus != self.modulus or len(v) != self.dimension:
+            if v.modulus.q != q or len(v.coords) != dimension:
                 raise DimensionError("vector does not match the set's modulus or dimension")
             if not is_isotropic(v):
                 raise ParameterError(f"vector is not self-orthogonal: {v.coords}")
-            if v.coords in seen:
-                raise ParameterError(f"duplicate vector: {v.coords}")
-            seen.add(v.coords)
+        if len({v.coords for v in self.vectors}) != len(self.vectors):
+            seen: set[tuple[int, ...]] = set()
+            for v in self.vectors:
+                if v.coords in seen:
+                    raise ParameterError(f"duplicate vector: {v.coords}")
+                seen.add(v.coords)
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -13,6 +13,7 @@ needs nothing beyond this module to re-check a claimed bound instance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -314,6 +315,17 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
     return None
 
 
+@functools.lru_cache(maxsize=1, typed=True)
+def _witness_ground(q: int, t: int) -> IsotropicSet:
+    """The ground set of F_q^t, enumerated once per process for the
+    latest (q, t) that find_witness was asked for, and only for it: a
+    witness request at another (q, t) replaces it, and no other caller
+    holds a ground set past its call.  Its vectors keep their checks and
+    text forms (see FieldVector), so every attempt's build pays for them
+    once.  Typed, so that 3.0 or True is not served the set of 3 or 1."""
+    return enumerate_isotropic(PrimeModulus(q), t)
+
+
 def _run_attempt(
     q: int, t: int, ground: IsotropicSet, n: int, seed: int, attempt: int, node_cap: int
 ) -> WitnessCertificate | AttemptFailure:
@@ -402,7 +414,7 @@ def find_witness(
     if type(q) is int and q > 1:
         _check_construction(q, t, n)
         _check_enumeration_cap(q, t)
-    ground = enumerate_isotropic(PrimeModulus(q), t)
+    ground = _witness_ground(q, t)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
     # Attempt 1 runs in this process, and the generator's pool starts only

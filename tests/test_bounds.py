@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from ramseylb.bounds import (
+    MAX_RADICAND_BITS,
     TAG_CLASSICAL_2COLOR,
     TAG_CLASSICAL_3COLOR,
     TAG_FIELD_DIRECT,
@@ -18,7 +20,7 @@ from ramseylb.bounds import (
     integer_root,
     new_bound,
 )
-from ramseylb.errors import ParameterError
+from ramseylb.errors import ParameterError, ResourceCapError
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +64,25 @@ def test_floor_power_product_values():
     assert floor_power_product([(2, Fraction(2)), (3, Fraction(3, 2))]) == 20
     assert floor_power_product([(2, Fraction(-1))]) == 0  # floor 1/2
     assert floor_power_product([(3, Fraction(2)), (2, Fraction(-3, 2))]) == 3  # floor 9/2.83
+
+
+def test_floor_power_product_refuses_a_power_over_the_cap_before_forming_it():
+    cap = MAX_RADICAND_BITS
+    assert floor_power_product([(2, Fraction(cap))]) == 2**cap
+    assert floor_power_product([(4, Fraction(cap, 2)), (3, Fraction(-1))]) == 2**cap // 3
+    # 2^(cap/2 + 1/2) roots a (cap + 1)-bit power, and 3^cap one of 2 cap bits
+    for fs in ([(2, Fraction(cap + 1))], [(2, Fraction(cap + 1, 2))], [(3, Fraction(cap))],
+               [(2, Fraction(cap, 2)), (3, Fraction(cap, 4) + 1)],
+               [(3, Fraction(10**16))], [(2, Fraction(7, 2) + Fraction(1, 10**100))]):
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError):
+            floor_power_product(fs)
+        assert time.perf_counter() - start < 0.1, fs
+    # the tables stay within it: the baseline and new families at 9 colors
+    # and t = 1000, the direct bound at q = 7
+    assert baseline_bound(1000, 9).value == 3**1500
+    assert new_bound(1000, 9).value == 2**2625
+    assert field_bound(1000, 7).value == 2**500 * 7**375
 
 
 def test_floor_power_product_with_negative_exponents_brackets_the_value():

@@ -3,10 +3,11 @@ import contextlib
 import hashlib
 import io
 import re
+import time
 
 import pytest
 
-from ramseylb import cli, field
+from ramseylb import bounds as bounds_mod, cli, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, build_paley, field_provenance
@@ -108,6 +109,21 @@ def test_bounds_table_output(capsys):
     assert "lefmann-composite" in out and "field-direct" in out
     assert "value=432" in out
     assert "conservative" in out
+
+
+def test_bounds_past_the_power_cap_exits_3_at_once(monkeypatch, capsys):
+    # The baseline power grows with the colors: refused before it is formed,
+    # and so before colors - 1 = 10^16 + 61 is tested for primality.
+    tested = []
+    monkeypatch.setattr(bounds_mod, "is_prime", tested.append)
+    monkeypatch.setattr(cli, "is_prime", tested.append)
+    # A 100,000-bit power first, which without the cap is formed at once.
+    for t, colors in ((200000, 2), (4, 10**16 + 62)):
+        start = time.perf_counter()
+        assert run("bounds", "--t", str(t), "--colors", str(colors)) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("error: bound needs a ")
+    assert tested == []
 
 
 def test_bounds_csv(capsys):

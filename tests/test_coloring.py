@@ -250,6 +250,18 @@ def test_field_coloring_input_validation():
         with pytest.raises(ParameterError) as info:
             build_field_coloring(params, vs[:4] + [bad])
         assert not isinstance(info.value, DimensionError)
+    # So do vertices whose self-product is already kept: a (5,4) vector and
+    # a duplicate, both first checked inside a valid set, and a vector that
+    # is not self-orthogonal, read before the build.
+    other = enumerate_isotropic(M5, 4).vectors[1]
+    anisotropic = fv(M3, 1, 0, 0, 0)
+    assert anisotropic.self_product != 0
+    with pytest.raises(DimensionError):
+        build_field_coloring(params, vs[:4] + [other])
+    for bad in (vs[1], anisotropic):
+        with pytest.raises(ParameterError) as info:
+            build_field_coloring(params, vs[:4] + [bad])
+        assert not isinstance(info.value, DimensionError)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +353,29 @@ def test_coloring_accessor_and_validation():
                  (3, 2, ((1, 1.0), (2,))), (3, 2, ((True, 2), (2,))), (3, 2, ((1, 2), ("2",)))]:
         with pytest.raises(ParameterError):
             EdgeColoring(*args)
+    # Each fault is the one a walk pair by pair meets first: a bad color in
+    # the middle of a long row, before a later row's bad length or color.
+    n = 300
+    rows = [[1 + (i + j) % 4 for j in range(n - 1 - i)] for i in range(n - 1)]
+    rows[-1] = []
+    rows[-2][0] = 0
+    for bad, message in [(5, "color 5 outside [1, 4]"), (0, "color 0 outside [1, 4]"),
+                         (True, "color True is not an int"), (1.0, "color 1.0 is not an int"),
+                         (-1, "color -1 outside [1, 4]"), (256, "color 256 outside [1, 4]")]:
+        rows[7][150] = bad
+        with pytest.raises(ParameterError) as info:
+            EdgeColoring(n, 4, tuple(map(tuple, rows)))
+        assert str(info.value) == message
+    rows[7][150] = 2
+    with pytest.raises(ParameterError, match="^color 0 outside"):
+        EdgeColoring(n, 4, tuple(map(tuple, rows)))
+    rows[-2][0] = 3
+    with pytest.raises(ParameterError, match="^row 298 has 0 colors, expected 1$"):
+        EdgeColoring(n, 4, tuple(map(tuple, rows)))
+    # a palette above 255 colors holds colors that no byte does
+    assert EdgeColoring(3, 300, ((300, 256), (1,))).rows == ((300, 256), (1,))
+    with pytest.raises(ParameterError, match=r"^color 301 outside \[1, 300\]$"):
+        EdgeColoring(3, 300, ((300, 256), (301,)))
 
 
 def test_file_format_roundtrip():

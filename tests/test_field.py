@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from operator import mul
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from sympy import GF, Matrix
 from sympy.polys.matrices import DomainMatrix
 
-from ramseylb.errors import DimensionError, ParameterError
+from ramseylb import field as field_module
+from ramseylb.errors import DimensionError, FormatError, ParameterError
 from ramseylb.field import (
     FieldVector,
     PrimeModulus,
@@ -73,6 +75,35 @@ def test_text_form_roundtrip():
     v = fv(M7, 1, 6, 0, 3)
     assert v.text_form() == "7 4 1 6 0 3"
     assert FieldVector.from_text(v.text_form()) == v
+
+
+def test_text_form_and_self_product_are_kept_on_the_vector_and_pickled_with_it():
+    v = fv(M7, 1, 6, 0, 3)
+    assert v.text_form() == f"{v.q} {len(v)} " + " ".join(str(c) for c in v.coords)
+    assert v.self_product == dot(v, v) == 4
+    assert v.text_form() is v.text_form()
+    w = pickle.loads(pickle.dumps(v))
+    assert w == v and hash(w) == hash(v)
+    assert vars(w)["_text"] == v.text_form() and vars(w)["self_product"] == 4
+    assert w.text_form() == "7 4 1 6 0 3"
+    # a memo is no part of equality, hashing or the repr
+    assert fv(M7, 1, 6, 0, 3) == w and repr(fv(M7, 1, 6, 0, 3)) == repr(w)
+
+
+def test_from_text_tests_its_modulus_for_primality_once(monkeypatch):
+    tested = []
+
+    def spy(n):
+        tested.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(field_module, "is_prime", spy)
+    assert FieldVector.from_text("7 4 1 6 0 3") == fv(M7, 1, 6, 0, 3)
+    assert tested == [7]
+    tested.clear()
+    with pytest.raises(FormatError, match="^vector line has non-prime modulus 9$"):
+        FieldVector.from_text("9 2 1 1")
+    assert tested == [9]
 
 
 def test_dot_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ramseylb.errors import CapacityError, ParameterError, ResourceCapError
+from ramseylb.errors import CapacityError, DimensionError, ParameterError, ResourceCapError
 from ramseylb.field import FieldVector, PrimeModulus, is_isotropic
 from ramseylb.isotropic import (
     IsotropicSet,
@@ -144,3 +144,22 @@ def test_bernoulli_subset_keeps_roughly_half():
     mean = total / 200
     se = math.sqrt(32 * 0.25 / 200)
     assert abs(mean - 16) <= 5 * se
+
+
+def test_isotropic_set_names_the_first_duplicate():
+    a, b, c = enumerate_isotropic(M3, 4).vectors[1:4]
+    for vectors, first in [((a, b, a, b), a), ((a, b, b, a), b), ((c, a, b, c, a), c)]:
+        with pytest.raises(ParameterError) as info:
+            IsotropicSet(M3, 4, vectors)
+        assert str(info.value) == f"duplicate vector: {first.coords}"
+    # checked vectors keep their self-product, so a second set over the same
+    # vectors checks modulus, dimension and duplicates again, not them
+    IsotropicSet(M3, 4, (a, b, c))
+    with pytest.raises(DimensionError):
+        IsotropicSet(M5, 4, (a, b))
+    with pytest.raises(DimensionError):
+        IsotropicSet(M3, 3, (a,))
+    bad = FieldVector(M3, (1, 0, 0, 0))
+    assert not is_isotropic(bad)
+    with pytest.raises(ParameterError, match="^vector is not self-orthogonal: "):
+        IsotropicSet(M3, 4, (a, bad))

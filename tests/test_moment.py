@@ -380,6 +380,46 @@ def test_find_witness_two_jobs_match_one(n, attempts):
         assert certificate_to_text(par) == certificate_to_text(seq)
 
 
+def test_find_witness_enumerates_one_ground_set_per_process(monkeypatch):
+    calls = []
+
+    def spy(modulus, t, *args):
+        calls.append((modulus.q, t))
+        return enumerate_isotropic(modulus, t, *args)
+
+    monkeypatch.setattr(moment, "enumerate_isotropic", spy)
+    moment._witness_ground.cache_clear()
+    for seed in (1, 2, 3):
+        assert isinstance(find_witness(3, 4, 14, 3, seed), WitnessCertificate)
+    assert calls == [(3, 4)]
+    # another (q, t) replaces the set, which is enumerated again on return
+    find_witness(5, 4, 20, 1, seed=1)
+    find_witness(3, 4, 14, 3, seed=1)
+    assert calls == [(3, 4), (5, 4), (3, 4)]
+    # a q that equals 3 but is not the int 3 is not served the set of 3
+    with pytest.raises(ParameterError):
+        find_witness(3.0, 4, 14, 3, seed=1)
+    # the estimators enumerate their own and leave the shared set alone
+    info = moment._witness_ground.cache_info()
+    monte_carlo_mono_count(3, 4, 2, Fraction(1, 2), seed=1)
+    assert calls[-1] == (3, 4) and len(calls) == 4
+    assert moment._witness_ground.cache_info() == info and info.currsize == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_find_witness_on_the_shared_ground_set_equals_a_fresh_one(jobs):
+    # The shared set's vectors keep what every earlier build computed on
+    # them; a search on them is the search on a set enumerated afresh.
+    cases = [(n, seed) for n in (14, 20, 22) for seed in range(1, 41)]
+    shared = [find_witness(3, 4, n, 3, seed, jobs=jobs) for n, seed in cases]
+    for (n, seed), result in zip(cases, shared):
+        moment._witness_ground.cache_clear()
+        fresh = find_witness(3, 4, n, 3, seed, jobs=jobs)
+        assert fresh == result, (n, seed)
+        if isinstance(fresh, WitnessCertificate):
+            assert certificate_to_text(fresh) == certificate_to_text(result), (n, seed)
+
+
 def test_find_witness_starts_no_pool_when_attempt_one_wins(monkeypatch):
     seq = find_witness(3, 4, 20, 200, seed=271828)
     assert isinstance(seq, WitnessCertificate) and seq.attempt == 1
