@@ -10,6 +10,7 @@ the conservative choice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -168,4 +169,7 @@ def growth_rate(record: BoundRecord) -> float:
     """Per-t growth factor value^(1/t)."""
     if record.t < 1:
         raise ParameterError("growth rate needs t >= 1")
-    return 2.0 ** (record.log2_value / record.t)
+    exponent = record.log2_value / record.t
+    if exponent >= sys.float_info.max_exp:
+        raise ResourceCapError(f"growth rate 2^{exponent:.6f} exceeds the float range")
+    return 2.0**exponent

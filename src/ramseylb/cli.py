@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from typing import Sequence
 
@@ -106,9 +107,17 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
         _, verts = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
     except RamseyLBError:
         return False
+    products = list(_scalar_products([v.coords for v in verts], q))
+    if isinstance(products[0], bytes):
+        # One byte per product, so q <= 16 and every color fits a byte: the
+        # colors and the products must agree under a mask over [1, q - 1].
+        colors = bytes(itertools.chain.from_iterable(coloring.rows))
+        mask = colors.translate(bytes(1) + b"\xff" * (q - 1) + bytes(256 - q))
+        diff = int.from_bytes(colors, "little") ^ int.from_bytes(b"".join(products), "little")
+        return not diff & int.from_bytes(mask, "little")
     # Each distinct (color, product) pair of the edges is checked once.
     seen = set()
-    for row, prods in zip(coloring.rows, _scalar_products([v.coords for v in verts], q)):
+    for row, prods in zip(coloring.rows, products):
         seen.update(zip(row, prods))
     return all(c >= q or c == d for c, d in seen)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, FormatError, ParameterError
+from .errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 from .isotropic import IsotropicSet
 from .rng import derive_seed, make_rng, pair_coin
@@ -32,6 +32,11 @@ _INT = r"(0|[1-9][0-9]*)"
 _NOT_CANONICAL = re.compile(r"[^\s0-9]|0(?<![0-9]0)[0-9]")
 _ZEROS = b"0" * 256
 _BYTES = bytes(range(256))
+# The one-byte codec of a palette of at most 9 colors: a data line that
+# str() and " ".join() would write, each color one digit, blank-separated.
+_DIGIT_ROW = re.compile(r"[1-9](?: [1-9])*")
+_DIGITS = bytes((c + 48) % 256 for c in range(256))
+_UNDIGITS = bytes((c - 48) % 256 for c in range(256))
 
 
 def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
@@ -148,7 +153,14 @@ class EdgeColoring:
     def to_text(self) -> str:
         lines = [FORMAT_MAGIC, f"n={self.n} colors={self.num_colors}"]
         lines.extend(f"# {note}" for note in self.provenance)
-        lines.extend(" ".join(str(c) for c in row) for row in self.rows)
+        if self.num_colors > 9:
+            lines.extend(" ".join(str(c) for c in row) for row in self.rows)
+        else:
+            # One digit per color, spliced into the even offsets of the blanks.
+            for row in self.rows:
+                line = bytearray(b" " * (2 * len(row) - 1))
+                line[::2] = bytes(row).translate(_DIGITS)
+                lines.append(line.decode())
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -171,6 +183,9 @@ class EdgeColoring:
             pos += 1
         rows = []
         for i, line in enumerate(lines[pos:]):
+            if _DIGIT_ROW.fullmatch(line):
+                rows.append(tuple(line.encode()[::2].translate(_UNDIGITS)))
+                continue
             try:
                 rows.append(tuple(map(int, line.split())))
             except ValueError as exc:
@@ -270,6 +285,13 @@ def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None
     return q, t, n, seed
 
 
+# The longest vector build_two_color draws, 2t coordinates; a longer one
+# raises ResourceCapError.  A vertex costs 2t coin draws and the product
+# kernel 2t digits per vertex: at the cap, 400 vertices took 3.5 s on a
+# 2-core VM.  The construction's own smoke test runs at 2t = 8.
+MAX_TWO_COLOR_LENGTH = 2**8
+
+
 def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     """Two-coloring of n sampled vectors of F_2^(2t) by product parity:
     color 1 when orthogonal, else 2.
@@ -280,7 +302,10 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     length = 2 * t
     if length < 1:
         raise ParameterError("vector length must be positive")
-    if n > 2**length:
+    if length > MAX_TWO_COLOR_LENGTH:
+        raise ResourceCapError(f"vector length 2t = {length} exceeds the cap {MAX_TWO_COLOR_LENGTH}")
+    # n > 2^length, compared without forming the power.
+    if n > 0 and (n - 1).bit_length() > length:
         raise CapacityError(f"cannot pick {n} distinct vectors from F_2^{length}")
     rng = make_rng(derive_seed(seed, "binary-vertices"))
     if n < 2:

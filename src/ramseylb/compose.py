@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .coloring import EdgeColoring
 
 
@@ -15,20 +17,14 @@ def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
     """
     n1, n2 = outer.n, inner.n
     shift = outer.num_colors
-    n = n1 * n2
-    # x < y gives a <= a2, and b < b2 when a == a2, so each read is
-    # rows[lo][hi - lo - 1].
-    outer_rows, inner_rows = outer.rows, inner.rows
-    rows = []
-    for x in range(n - 1):
-        a, b = divmod(x, n2)
-        row = []
-        for y in range(x + 1, n):
-            a2, b2 = divmod(y, n2)
-            row.append(outer_rows[a][a2 - a - 1] if a != a2 else shift + inner_rows[b][b2 - b - 1])
-        rows.append(tuple(row))
+    # Row (a, b) is inner row b, shifted, then outer row a with each color
+    # repeated n2 times, for the later vertices of copy a and of copies past
+    # a.  The last vertex of a copy, and of the product, has an empty part.
+    shifted = [tuple(map(shift.__add__, row)) for row in inner.rows] + [()]
+    repeated = [tuple(itertools.chain.from_iterable(zip(*[row] * n2))) for row in outer.rows] + [()]
+    rows = tuple(b + a for a in repeated for b in shifted)[:-1]
     note = (
         f"blowup outer(n={n1} colors={outer.num_colors}) "
         f"inner(n={n2} colors={inner.num_colors})"
     )
-    return EdgeColoring(n, outer.num_colors + inner.num_colors, tuple(rows), (note,))
+    return EdgeColoring(n1 * n2, outer.num_colors + inner.num_colors, rows, (note,))

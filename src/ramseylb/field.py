@@ -42,6 +42,14 @@ class PrimeModulus:
             raise ParameterError(f"modulus must be prime, got {self.q}")
 
 
+def _text_modulus(q: int) -> PrimeModulus:
+    """The modulus a vector line names; a composite q is a FormatError."""
+    try:
+        return PrimeModulus(q)
+    except ParameterError as exc:
+        raise FormatError(f"vector line has non-prime modulus {q}") from exc
+
+
 @dataclass(frozen=True)
 class FieldVector:
     """A vector over F_q with coordinates reduced into [0, q).
@@ -83,7 +91,9 @@ class FieldVector:
         return self._text
 
     @classmethod
-    def from_text(cls, line: str) -> "FieldVector":
+    def from_text(cls, line: str, modulus: PrimeModulus | None = None) -> "FieldVector":
+        """The vector a ``q t c1 ... ct`` line names.  A modulus given for
+        the line's q spares q another primality test."""
         parts = line.split()
         if len(parts) < 3:
             raise FormatError(f"vector line needs q, t and coordinates: {line!r}")
@@ -94,10 +104,8 @@ class FieldVector:
             raise FormatError(f"non-integer token in vector line: {line!r}") from exc
         if len(coords) != t:
             raise FormatError(f"vector line declares t={t} but has {len(coords)} coordinates")
-        try:
-            modulus = PrimeModulus(q)
-        except ParameterError as exc:
-            raise FormatError(f"vector line has non-prime modulus {q}") from exc
+        if modulus is None or modulus.q != q:
+            modulus = _text_modulus(q)
         if any(not 0 <= c < q for c in coords):
             raise FormatError(f"vector coordinate outside [0, {q}): {line!r}")
         return cls(modulus, coords)

@@ -39,7 +39,7 @@ from .coloring import (
     build_field_coloring, pair_identity,
 )
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
-from .field import FieldVector, PrimeModulus
+from .field import FieldVector, PrimeModulus, _text_modulus
 from .isotropic import (
     IsotropicSet,
     _check_enumeration_cap,
@@ -490,7 +490,8 @@ def certificate_from_text(text: str) -> WitnessCertificate:
         raise FormatError(f"expected {n} vector lines, found {len(vector_lines)}")
     if not all(line.startswith(f"{q} {t} ") for line in vector_lines):
         raise FormatError(f"vector line not in canonical form '{q} {t} c1 ... ct'")
-    vectors = tuple(map(FieldVector.from_text, vector_lines))
+    modulus = _text_modulus(q)
+    vectors = tuple(FieldVector.from_text(line, modulus) for line in vector_lines)
     coloring = EdgeColoring.from_text(block)
     if coloring.n != n or coloring.num_colors != num_colors:
         raise FormatError("embedded coloring disagrees with the certificate header")

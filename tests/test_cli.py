@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import random
 import re
 import time
 
@@ -10,9 +11,10 @@ import pytest
 from ramseylb import bounds as bounds_mod, cli, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
-from ramseylb.coloring import EdgeColoring, build_paley, field_provenance
+from ramseylb.coloring import EdgeColoring, build_field_coloring, build_paley, field_provenance
 from ramseylb.compose import blowup_product
 from ramseylb.errors import ResourceCapError
+from ramseylb.field import dot
 from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
 
 
@@ -124,6 +126,16 @@ def test_bounds_past_the_power_cap_exits_3_at_once(monkeypatch, capsys):
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err.startswith("error: bound needs a ")
     assert tested == []
+
+
+def test_bounds_past_the_float_range_of_the_growth_rate_exits_3(capsys):
+    # 4,000 colors at t = 1: a 1,057-bit bound, whose per-t growth rate no float holds
+    assert run("bounds", "--t", "1", "--colors", "4000") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: growth rate 2^1056.585025 exceeds the float range\n"
+    assert run("bounds", "--t", "1", "--colors", "2000") == 0
+    assert "growth=" in capsys.readouterr().out
 
 
 def test_bounds_csv(capsys):
@@ -253,6 +265,14 @@ def test_non_ascii_file_exit_code(tmp_path, capsys):
 
 def test_unknown_command_exit_code(capsys):
     assert run("frobnicate") == 2
+
+
+def test_two_color_past_the_vector_length_cap_exits_3_at_once(capsys):
+    for t in ("99999999999999999999", "129"):
+        start = time.perf_counter()
+        assert run("construct-two-color", "--t", t, "--n", "4") == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.endswith("exceeds the cap 256\n")
 
 
 def test_two_color_subcommand(tmp_path):
@@ -427,6 +447,48 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
         path = tmp_path / f"{name}.txt"
         path.write_text(edited.to_text())
         assert_verify_is_plain_search(path, edited, capsys)
+
+
+def per_pair_products_match(coloring, q, t, n, seed):
+    """The trust check's rule read pair by pair: a color c below q is the
+    product of its edge's two sampled vectors."""
+    _, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+    return all(
+        c >= q or c == dot(verts[i], verts[j])
+        for i, row in enumerate(coloring.rows)
+        for j, c in enumerate(row, i + 1)
+    )
+
+
+def test_trust_check_agrees_with_the_per_pair_rule():
+    # A product is one byte at (3,4), (5,4), (2,9) and (7,3), and wider at
+    # (11,3) and (17,2), where the check compares pairs.
+    rng = random.Random(21)
+    for q, t, n in ((3, 4, 20), (5, 4, 30), (2, 9, 40), (7, 3, 25), (11, 3, 30), (17, 2, 25)):
+        for seed in (1, 2):
+            params, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+            col = build_field_coloring(params, verts)
+            named = field_provenance(col)
+            assert cli._products_match(col, *named) and per_pair_products_match(col, *named)
+            pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+            for _ in range(20):
+                rows = [list(r) for r in col.rows]
+                # one pair recolored: a color below q that is not its product
+                # is rejected; a coin color anywhere is accepted
+                i, j = rng.choice(pairs)
+                rows[i][j - i - 1] = rng.randint(1, q + 1)
+                if rng.random() < 0.5:  # and sometimes a second, anywhere
+                    i, j = rng.choice(pairs)
+                    rows[i][j - i - 1] = rng.randint(1, q + 1)
+                edited = rewrite(col, rows=rows)
+                assert cli._products_match(edited, *named) == per_pair_products_match(edited, *named)
+            # a deterministic color off its product, on the last pair that can take one
+            i, j = next((i, j) for i, j in reversed(pairs) if q > 2 or dot(verts[i], verts[j]) == 0)
+            rows = [list(r) for r in col.rows]
+            rows[i][j - i - 1] = 2 if dot(verts[i], verts[j]) == 1 else 1
+            edited = rewrite(col, rows=rows)
+            assert not cli._products_match(edited, *named)
+            assert not per_pair_products_match(edited, *named)
 
 
 def test_verify_finishes_under_a_cap_the_plain_search_exceeds(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from ramseylb.coloring import (
     pair_identity,
 )
 from ramseylb.compose import blowup_product
-from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError
+from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import FieldVector, PrimeModulus, dot
 from ramseylb.isotropic import enumerate_isotropic, sample_distinct
 from ramseylb.rng import derive_seed, make_rng, pair_coin
@@ -311,6 +312,14 @@ def test_two_color_capacity():
         build_two_color(0, 5, seed=0)
     with pytest.raises(ParameterError):
         build_two_color(3, 1, seed=0)
+    # n against 2^(2t) by bit length, on both sides of the power
+    with pytest.raises(CapacityError):
+        build_two_color(2, 17, seed=0)
+    assert build_two_color(2, 16, seed=0).n == 16
+    cap = coloring_module.MAX_TWO_COLOR_LENGTH
+    for t in (cap // 2 + 1, 10**20):
+        with pytest.raises(ResourceCapError, match=f"exceeds the cap {cap}$"):
+            build_two_color(t, 4, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +446,70 @@ def test_file_format_spells_integers_one_way():
                  "field-coloring q=3 t=+4 n=12 seed=7", "field-coloring q=3 t=4 n=1_2 seed=7",
                  "field-coloring q=3 t=4 n=12 seed=" + "7" * 5000):
         assert field_provenance(EdgeColoring(col.n, col.num_colors, col.rows, (line,))) is None
+
+
+def general_to_text(col):
+    """The coloring file as str() and " ".join() write it, color by color."""
+    lines = [coloring_module.FORMAT_MAGIC, f"n={col.n} colors={col.num_colors}"]
+    lines += [f"# {note}" for note in col.provenance]
+    lines += [" ".join(str(c) for c in row) for row in col.rows]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text):
+    """The coloring's rows, or the exact message of the FormatError."""
+    try:
+        return EdgeColoring.from_text(text).rows
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_digit_codec_agrees_with_the_general_path(monkeypatch):
+    rng = random.Random(21)
+    # Respellings the general parse accepts, then edits it refuses.
+    blanks = [
+        lambda line: line.replace(" ", "  ", 1),
+        lambda line: line.replace(" ", "\t", 1),
+        lambda line: " " + line,
+        lambda line: line + " ",
+    ]
+    faults = [
+        lambda line: "0 " + line,
+        lambda line: line[:-1] + "0",
+        lambda line: "10 " + line[2:],
+        lambda line: "+" + line,
+        lambda line: "0" + line,
+        lambda line: "\u0661 " + line,
+        lambda line: "x " + line[2:],
+        lambda line: line[2:],  # one color short
+        lambda line: line + " 1",  # one color long
+    ]
+    cases = []
+    for k in range(1, 13):
+        for n in (1, 2, 3, 7, 12):
+            rows = tuple(tuple(rng.randint(1, k) for _ in range(n - 1 - i)) for i in range(n - 1))
+            col = EdgeColoring(n, k, rows, (f"palette {k}",))
+            text = col.to_text()
+            assert text == general_to_text(col)
+            cases.append((text, rows))
+            if n < 3:
+                continue
+            for edit in blanks + faults:
+                lines = text.split("\n")
+                at = rng.randrange(3, len(lines) - 1)
+                lines[at] = edit(lines[at])
+                # Some faults are colors 10 and 11 that a wider palette holds.
+                expected = rows if edit in blanks else None if k > 9 else str
+                cases.append(("\n".join(lines), expected))
+    fast = [parse_outcome(text) for text, _ in cases]
+    # The general parse alone: no line is read as digits.
+    monkeypatch.setattr(coloring_module, "_DIGIT_ROW", re.compile(r"(?!)"))
+    assert fast == [parse_outcome(text) for text, _ in cases]
+    for outcome, (_, expected) in zip(fast, cases):
+        if expected is str:
+            assert isinstance(outcome, str)
+        elif expected is not None:
+            assert outcome == expected
 
 
 def test_induced_validation():

@@ -54,6 +54,11 @@ def test_blowup_matches_edge_by_edge_reference():
         factors.append(
             (random_coloring(rng, n1, rng.choice([1, 2, 3])), random_coloring(rng, n2, rng.choice([1, 2])))
         )
+    # every pair of orders in {1, 2, 5}, equal ones and single vertices included
+    for n1 in (1, 2, 5):
+        for n2 in (1, 2, 5):
+            for k1, k2 in ((1, 1), (3, 2), (12, 300)):
+                factors.append((random_coloring(rng, n1, k1), random_coloring(rng, n2, k2)))
     for outer, inner in factors:
         prod = blowup_product(outer, inner)
         assert prod.n == outer.n * inner.n

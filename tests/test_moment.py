@@ -612,6 +612,24 @@ def test_certificate_header_bounds_the_vectors_before_they_are_parsed(fixture_ce
     assert 100000000000031 not in tested
 
 
+def test_a_certificate_parse_tests_its_modulus_for_primality_once(fixture_certificate, monkeypatch):
+    text = certificate_to_text(fixture_certificate)
+    tested = []
+    real = field.is_prime
+    monkeypatch.setattr(field, "is_prime", lambda q: tested.append(q) or real(q))
+    assert certificate_from_text(text) == fixture_certificate
+    assert tested == [3]
+    # a composite q keeps the vector line's message, also from the header's q
+    lines = text.split("\n")
+    composite = "\n".join(line.replace("3 4 ", "4 4 ", 1) for line in lines)
+    composite = composite.replace("q=3\n", "q=4\n").replace("colors=4\n", "colors=5\n")
+    composite = composite.replace("max-clique-sizes=", "max-clique-sizes=0 ")
+    tested.clear()
+    with pytest.raises(FormatError, match="^vector line has non-prime modulus 4$"):
+        certificate_from_text(composite)
+    assert tested == [4]
+
+
 def test_an_enumeration_over_the_cap_is_refused_before_the_primality_test(monkeypatch):
     # q^t over the cap needs no primality test, which takes seconds at q = 10^16 + 61
     tested = []
