@@ -22,7 +22,7 @@ SlackLike = Union[int, float, str, Fraction]
 
 # The most bits of the power that floor_power_product roots, and so of a
 # bound's value.  A root of a random power of this size took at most
-# 0.21 s on a 2-core VM, at nine root indices from 2 to 65,536, while the
+# 0.03 s on a 2-core VM, at root indices from 2 to 65,536, while the
 # tables of the package's tests and benchmark need a few hundred bits.
 # It also keeps the colors of a `bounds` table, whose baseline power
 # grows with them, small enough for the primality test of colors - 1.
@@ -43,11 +43,33 @@ def as_slack(value: SlackLike) -> Fraction:
         raise ParameterError(f"slack {value!r} is not a finite rational") from exc
 
 
+def _root_overestimate(n: int, k: int) -> int:
+    """An integer x0 > n^(1/k), for n >= 2 and k >= 2, from the top 64
+    bits of n by float.
+
+    With s the bits below those 64 and top = n >> s, log2 n < L =
+    log2(top + 1) + s.  Computed in floats, each of the operations below
+    errs by at most 2^-52 relative, and log2 of a 64-bit integer by at
+    most 2^-46, so e = (L / k)(1 + 2^-40) + 2^-20 exceeds L / k by more
+    than 2^-21.  With e = w + f, w its integer part, m = int(2^(f + 52)) + 1
+    exceeds 2^(f + 52)(1 - 2^-47), so x0 = ((m << w) >> 52) + 1 >
+    2^(e - 2^-46) > 2^(L / k) > n^(1/k).  x0 is within about a factor
+    1 + 2^-20 of n^(1/k), plus one, so Newton's steps start near their
+    quadratic phase; from 2^ceil(bits/k), a factor-2 overestimate, they
+    would first shrink it by only about 1 - 1/k a step.
+    """
+    shift = max(n.bit_length() - 64, 0)
+    e = (math.log2((n >> shift) + 1) + shift) / k * (1 + 2.0**-40) + 2.0**-20
+    whole = int(e)
+    return ((int(2.0 ** (e - whole + 52)) + 1 << whole) >> 52) + 1
+
+
 def integer_root(n: int, k: int) -> int:
     """floor(n^(1/k)) for n >= 0, k >= 1, computed exactly.
 
     The integer Newton steps y = ((k-1)x + n // x^(k-1)) // k, from
-    x0 = 2^ceil(bits(n)/k) > n^(1/k), stop exactly at r = floor(n^(1/k)):
+    x0 > n^(1/k) (see _root_overestimate), stop exactly at
+    r = floor(n^(1/k)):
     - y is the floor of the mean of k - 1 copies of x and n / x^(k-1),
       which by AM-GM is at least n^(1/k), so y >= r from every x;
     - from x > r, x^k > n, so n / x^(k-1) < x and y < x.
@@ -60,7 +82,7 @@ def integer_root(n: int, k: int) -> int:
         raise ParameterError("radicand must be non-negative")
     if k == 1 or n < 2:
         return n
-    x = 1 << -(-n.bit_length() // k)
+    x = _root_overestimate(n, k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

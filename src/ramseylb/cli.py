@@ -19,6 +19,7 @@ from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
 from .coloring import (
     ConstructionParams,
     EdgeColoring,
+    _check_pairs,
     build_field_coloring,
     build_paley,
     build_two_color,
@@ -73,6 +74,7 @@ def _construct_sample(
 ) -> tuple[ConstructionParams, list[FieldVector]]:
     """The parameters and vertices of ``construct``: n distinct ground-set
     vectors of F_q^t, sampled under the seed."""
+    _check_pairs(n)
     _check_enumeration_cap(q, t, cap)
     modulus = PrimeModulus(q)
     ground = enumerate_isotropic(modulus, t, cap=cap)

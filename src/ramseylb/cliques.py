@@ -215,35 +215,72 @@ def _k_cliques(adj: list[int], k: int, cap: int, what: str) -> list[tuple[int, .
     """Every k-clique of a bitset graph as an ascending index tuple, in
     lexicographic order.
 
-    Backtracking over candidates adjacent to everything already chosen;
-    each recursion node counts against cap.
+    Backtracking over candidates adjacent to everything already chosen:
+    each node of the search tree, the root, every chosen prefix and
+    every k-clique, counts against cap.  A prefix with fewer candidates
+    than it still needs is counted but not entered, and the k-cliques
+    are emitted by their parent, one count each.
     """
+    if k < 1:
+        raise ParameterError("clique size must be positive")
     if cap < 1:
         raise ParameterError(f"node cap {cap} must be positive")
     found: list[tuple[int, ...]] = []
-    visited = 0
+    visited = 1
 
-    def rec(chosen: list[int], cand: int) -> None:
+    def rec(prefix: tuple[int, ...], cand: int, need: int) -> None:
+        # A node, already counted, that still needs ``need`` vertices.
         nonlocal visited
-        visited += 1
-        if visited > cap:
-            raise ResourceCapError(f"{what} exceeded {cap} nodes")
-        if len(chosen) == k:
-            found.append(tuple(chosen))
+        if need == 1:
+            visited += cand.bit_count()
+            if visited > cap:
+                raise ResourceCapError(f"{what} exceeded {cap} nodes")
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                found.append((*prefix, low.bit_length() - 1))
             return
-        need = k - len(chosen)
-        while cand:
-            if cand.bit_count() < need:
-                return
+        while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            chosen.append(v)
-            rec(chosen, cand & adj[v])
-            chosen.pop()
+            visited += 1
+            if visited > cap:
+                raise ResourceCapError(f"{what} exceeded {cap} nodes")
+            sub = cand & adj[v]
+            if sub.bit_count() >= need - 1:
+                rec((*prefix, v), sub, need - 1)
 
-    rec([], (1 << len(adj)) - 1)
+    rec((), (1 << len(adj)) - 1, k)
     return found
+
+
+def _has_clique(adj: list[int], k: int, cap: int) -> bool:
+    """Whether a bitset graph has a k-clique, k >= 1.
+
+    The backtracking of _k_cliques, ended at its first k-clique: no
+    coloring bound and no vertex order, so it shares nothing with the
+    max-clique search that certify runs.  Its prefixes count against
+    cap as the listing's do.
+    """
+    visited = 1
+
+    def rec(cand: int, need: int) -> bool:
+        nonlocal visited
+        if need == 1:
+            return cand != 0
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            visited += 1
+            if visited > cap:
+                raise ResourceCapError(f"clique existence check exceeded {cap} nodes")
+            sub = cand & adj[low.bit_length() - 1]
+            if sub.bit_count() >= need - 1 and rec(sub, need - 1):
+                return True
+        return False
+
+    return rec((1 << len(adj)) - 1, k)
 
 
 def monochromatic_cliques(
@@ -326,8 +363,6 @@ def enumerate_potential_cliques(
 ) -> list[PotentialClique]:
     """All t-subsets of the ground set with pairwise product zero, in
     the lexicographic order of _orthogonal_tuples."""
-    if t < 1:
-        raise ParameterError("clique size must be positive")
     vecs = ground.vectors
     return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _orthogonal_tuples(ground, t, cap)]
 

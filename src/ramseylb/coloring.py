@@ -39,6 +39,20 @@ _DIGITS = bytes((c + 48) % 256 for c in range(256))
 _UNDIGITS = bytes((c - 48) % 256 for c in range(256))
 
 
+# The most vertex pairs of a coloring a request may build: n(n - 1)/2 at
+# most 10^7, so n at most 4,472.  Each pair holds a color in the rows, a
+# byte in the color classes' matrix and two in the text.  Requests past
+# it raise ResourceCapError before anything is enumerated or built; the
+# largest in the package's tests and benchmark, (2,13,1000), has 499,500.
+MAX_PAIRS = 10**7
+
+
+def _check_pairs(n: int) -> None:
+    """Raise ResourceCapError when K_n has more than MAX_PAIRS pairs."""
+    if n > 1 and n * (n - 1) // 2 > MAX_PAIRS:
+        raise ResourceCapError(f"a coloring of {n} vertices exceeds the cap of {MAX_PAIRS} pairs")
+
+
 def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
     """Digit strings as ints; None past int()'s limit, 4,300 digits by default."""
     try:
@@ -307,6 +321,7 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     # n > 2^length, compared without forming the power.
     if n > 0 and (n - 1).bit_length() > length:
         raise CapacityError(f"cannot pick {n} distinct vectors from F_2^{length}")
+    _check_pairs(n)
     rng = make_rng(derive_seed(seed, "binary-vertices"))
     if n < 2:
         raise ParameterError("need at least two vertices")
@@ -325,6 +340,7 @@ def build_paley(p: int) -> EdgeColoring:
     Requires p = 1 mod 4 so that -1 is a residue and adjacency is
     symmetric.
     """
+    _check_pairs(p)
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if p % 4 != 1:

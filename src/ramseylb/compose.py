@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _check_pairs
 
 
 def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
@@ -16,6 +16,7 @@ def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
     clique sizes are preserved exactly, and so are inner-color ones.
     """
     n1, n2 = outer.n, inner.n
+    _check_pairs(n1 * n2)
     shift = outer.num_colors
     # Row (a, b) is inner row b, shifted, then outer row a with each color
     # repeated n2 times, for the later vertices of copy a and of copies past

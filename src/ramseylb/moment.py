@@ -29,14 +29,15 @@ from .bounds import SlackLike, as_slack, floor_power_product
 # perfbench wraps ramseylb.moment.enumerate_potential_cliques.
 from .cliques import (  # noqa: F401
     DEFAULT_NODE_CAP,
+    _has_clique,
     _orthogonal_tuples,
     enumerate_potential_cliques,
     max_monochromatic_clique,
     monochromatic_cliques,
 )
 from .coloring import (
-    _INT, ConstructionParams, EdgeColoring, _check_construction, _field_line, _ints,
-    build_field_coloring, pair_identity,
+    _INT, _UNDIGITS, ConstructionParams, EdgeColoring, _check_construction, _check_pairs, _field_line,
+    _ints, build_field_coloring, pair_identity,
 )
 from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, _text_modulus
@@ -279,6 +280,20 @@ def _disjoint_packing(masks: list[int]) -> int:
     return packed
 
 
+def _incidence(cliques: list[int]) -> list[int]:
+    """through[v], the positions in cliques of the masks holding vertex
+    v, as a bitmask.  Built as one bit array per vertex, so the time is
+    linear in the cliques' vertices and not in their positions."""
+    rows = [bytearray((len(cliques) + 7) >> 3) for _ in range(max(cliques, default=0).bit_length())]
+    for pos, mask in enumerate(cliques):
+        byte, bit = pos >> 3, 1 << (pos & 7)
+        while mask:
+            low = mask & -mask
+            rows[low.bit_length() - 1][byte] |= bit
+            mask ^= low
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
     """A vertex mask of at most budget vertices that meets every clique
     mask, or None when there is none.
@@ -289,29 +304,36 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
     node is cut when an open clique has no free vertex left, or when its
     deletions plus a greedy packing of open cliques with pairwise
     disjoint free vertices (each needs a vertex of its own) exceed the
-    budget.  Each node counts against cap.
+    budget.  The open cliques are one mask of positions in cliques, and
+    a vertex's count is its incidence mask's overlap with it.  A node
+    walks its open cliques, never a mask bit by bit, and counts as many
+    nodes as it has open cliques, at least 1, against cap.
     """
+    through = _incidence(cliques)
     visited = 0
-    stack = [(0, 0, cliques)]  # (deleted, banned, cliques not yet met)
+    stack = [(0, 0, (1 << len(cliques)) - 1)]  # (deleted, banned, open positions)
     while stack:
         deleted, banned, open_ = stack.pop()
-        visited += 1
+        visited += open_.bit_count() or 1
         if visited > cap:
             raise ResourceCapError(f"hitting-set search exceeded {cap} nodes")
         if not open_:
             return deleted
-        frees = sorted((c & ~banned for c in open_), key=int.bit_count)
+        # One byte per position, 1 where the clique there is open: the
+        # mask's binary digits, lowest first, as their values.
+        is_open = format(open_, "b")[::-1].encode().translate(_UNDIGITS)
+        frees = sorted((c & ~banned for c in itertools.compress(cliques, is_open)), key=int.bit_count)
         if not frees[0] or deleted.bit_count() + _disjoint_packing(frees) > budget:
             continue
-        counts: dict[int, int] = {}
-        for free in frees:
-            while free:
-                low = free & -free
-                counts[low] = counts.get(low, 0) + 1
-                free ^= low
-        v = max(counts, key=lambda b: (counts[b], -b))
-        stack.append((deleted, banned | v, open_))
-        stack.append((deleted | v, banned, [c for c in open_ if not c & v]))
+        counts = [(th & open_).bit_count() for th in through]
+        rest = banned
+        while rest:
+            low = rest & -rest
+            counts[low.bit_length() - 1] = 0
+            rest ^= low
+        v = counts.index(max(counts))
+        stack.append((deleted, banned | 1 << v, open_))
+        stack.append((deleted | 1 << v, banned, open_ & ~through[v]))
     return None
 
 
@@ -417,6 +439,7 @@ def find_witness(
     ground = _witness_ground(q, t)
     if n > len(ground):
         raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
+    _check_pairs(min(len(ground), 2 * n))  # the m vertices an attempt colors
     # Attempt 1 runs in this process, and the generator's pool starts only
     # when it has failed.  At n <= recommended_n every sampled request won
     # at attempt 1, which takes less time than starting a pool.  Above it,
@@ -438,20 +461,31 @@ def find_witness(
 
 
 def reverify(cert: WitnessCertificate) -> bool:
-    """Rebuild the coloring from the stored fields, compare its rows and
-    provenance, re-run the clique search; True only when all match."""
+    """Rebuild the coloring from the stored fields and compare its rows
+    and provenance; then check each color's stored size s by existence
+    alone: 1 <= s < t, some K_s and no K_(s+1).  True only when all hold.
+
+    The existence check (_has_clique) is a second, simpler search than
+    the max-clique search that certify ran, so a fault in that search's
+    bounds cannot pass both.  A check that reaches the node cap, like
+    any other error, means invalid.
+    """
     try:
-        if cert.num_colors != cert.q + 1 or cert.verdict != "pass":
+        sizes = cert.max_clique_sizes
+        if cert.num_colors != cert.q + 1 or cert.verdict != "pass" or len(sizes) != cert.num_colors:
             return False
         sk = attempt_seed(cert.seed, cert.attempt)
         params = ConstructionParams(PrimeModulus(cert.q), cert.t, sk, cert.n)
         rebuilt = build_field_coloring(params, cert.vectors)
         if rebuilt != cert.coloring or rebuilt.provenance != cert.coloring.provenance:
             return False
-        sizes = tuple(max_monochromatic_clique(rebuilt, c).size for c in range(1, cert.num_colors + 1))
-        if sizes != cert.max_clique_sizes:
-            return False
-        return all(s < cert.t for s in sizes)
+        for color, s in enumerate(sizes, start=1):
+            adj = rebuilt.color_class_bitsets(color)
+            if not 1 <= s < cert.t or not _has_clique(adj, s, DEFAULT_NODE_CAP):
+                return False
+            if _has_clique(adj, s + 1, DEFAULT_NODE_CAP):
+                return False
+        return True
     except RamseyLBError:
         return False
 

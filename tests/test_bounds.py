@@ -12,6 +12,7 @@ from ramseylb.bounds import (
     TAG_FIELD_DIRECT,
     TAG_LEFMANN_COMPOSITE,
     TAG_NEW_COMPOSITE,
+    _root_overestimate,
     as_slack,
     baseline_bound,
     field_bound,
@@ -54,6 +55,30 @@ def test_integer_root_brackets_random_and_near_perfect_powers():
             n = max(0, rng.getrandbits(max(1, bits // k)) ** k + rng.randint(-1, 1))
         x = integer_root(n, k)
         assert x**k <= n < (x + 1) ** k, (n, k, x)
+
+
+def test_integer_root_at_large_root_indices():
+    """x^k <= n < (x+1)^k on random radicands up to 2^16 bits at root
+    indices up to 65,536; Newton starts above the root, within a factor
+    1 + 2^-19 of it plus two."""
+    rng = random.Random(22)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(2, MAX_RADICAND_BITS)) | 2
+        k = rng.choice([rng.randint(2, 64), rng.randint(2, 1 << 16)])
+        x = integer_root(n, k)
+        assert x**k <= n < (x + 1) ** k, (n.bit_length(), k)
+        start = _root_overestimate(n, k)
+        assert start**k > n
+        assert (start - 2) << 19 <= (x + 1) * ((1 << 19) + 1)
+    # Newton from 2^ceil(bits/k) took 0.16 s for each of these on a 2-core VM
+    n = rng.getrandbits(MAX_RADICAND_BITS)
+    for k in (1000, 3000):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            integer_root(n, k)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05, k
 
 
 def test_floor_power_product_values():

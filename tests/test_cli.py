@@ -275,6 +275,28 @@ def test_two_color_past_the_vector_length_cap_exits_3_at_once(capsys):
         assert capsys.readouterr().err.endswith("exceeds the cap 256\n")
 
 
+def test_colorings_past_the_pair_cap_exit_3_at_once(tmp_path, capsys):
+    """Checked before anything is built or enumerated, and for Paley
+    before p's primality test, which takes seconds at 10^16 + 61: Paley
+    100049 (5 * 10^9 pairs), a construction of 2 * 10^10 pairs, a
+    two-color one of 1.25 * 10^7 and the product of two Paley-89 files
+    (7,921 vertices)."""
+    paley = tmp_path / "p89.txt"
+    assert run("construct-paley", "--p", "89", "--out", str(paley)) == 0
+    capsys.readouterr()
+    for argv, n in [(("construct-paley", "--p", "100049"), 100049),
+                    (("construct-paley", "--p", "10000000000000061"), 10000000000000061),
+                    (("construct", "--q", "2", "--t", "19", "--n", "200000"), 200000),
+                    (("construct-two-color", "--t", "8", "--n", "5000"), 5000),
+                    (("compose", "--a", str(paley), "--b", str(paley)), 7921)]:
+        start = time.perf_counter()
+        assert run(*argv) == 3
+        assert time.perf_counter() - start < 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: a coloring of {n} vertices exceeds the cap of 10000000 pairs\n"
+
+
 def test_two_color_subcommand(tmp_path):
     out = tmp_path / "tc.txt"
     assert run("construct-two-color", "--t", "3", "--n", "10", "--out", str(out)) == 0

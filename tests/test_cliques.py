@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from ramseylb import moment
 from ramseylb.cli import _construct_sample
 from ramseylb.cliques import (
+    DEFAULT_NODE_CAP,
     PotentialClique,
     _degeneracy_order,
+    _has_clique,
     _k_cliques,
     _max_clique_mask,
     _orthogonal_tuples,
@@ -25,7 +28,8 @@ from ramseylb.cliques import (
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.errors import ParameterError, ResourceCapError
 from ramseylb.field import FieldVector, PrimeModulus, dot, rank
-from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic
+from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic, sample_distinct
+from ramseylb.rng import make_rng
 
 M2, M3, M5 = PrimeModulus(2), PrimeModulus(3), PrimeModulus(5)
 
@@ -292,6 +296,86 @@ def test_monochromatic_cliques_match_subset_listing():
         monochromatic_cliques(col, 4, cap=10)
 
 
+def reference_k_cliques(adj, k):
+    """The listing that called every child, dead ends and k-cliques
+    included, one node each: its k-cliques and its node count."""
+    found, nodes = [], 0
+
+    def rec(chosen, cand):
+        nonlocal nodes
+        nodes += 1
+        if len(chosen) == k:
+            found.append(tuple(chosen))
+            return
+        need = k - len(chosen)
+        while cand:
+            if cand.bit_count() < need:
+                return
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            chosen.append(v)
+            rec(chosen, cand & adj[v])
+            chosen.pop()
+
+    rec([], (1 << len(adj)) - 1)
+    return found, nodes
+
+
+def witness_attempt_classes():
+    """The color classes of attempt 1 of seeds 1-5 of a (3,4) witness
+    request at n = 14 and 20, as _run_attempt colors them."""
+    ground = moment._witness_ground(3, 4)
+    for n, seed in itertools.product((14, 20), range(1, 6)):
+        sk = moment.attempt_seed(seed, 1)
+        m = min(len(ground), 2 * n)
+        col = build_field_coloring(ConstructionParams(M3, 4, sk, m), sample_distinct(ground, m, make_rng(sk)))
+        yield from (col.color_class_bitsets(c) for c in range(1, 5))
+
+
+def orthogonality_graph(q, t):
+    vecs = enumerate_isotropic(PrimeModulus(q), t).vectors
+    orth = [0] * len(vecs)
+    for a, b in itertools.combinations(range(len(vecs)), 2):
+        if dot(vecs[a], vecs[b]) == 0:
+            orth[a] |= 1 << b
+            orth[b] |= 1 << a
+    return orth
+
+
+def test_k_cliques_match_the_listing_that_called_every_child():
+    """The same k-cliques in the same order, and the same smallest cap
+    that succeeds: the node count, with every dead end and k-clique
+    still counted once though neither is called."""
+    rng = random.Random(22)
+    cases = [(random_bitset_graph(rng, rng.randrange(31), rng.random()), rng.randrange(1, 7)) for _ in range(300)]
+    cases += [(adj, 4) for adj in witness_attempt_classes()]
+    cases += [(orthogonality_graph(q, t), t) for q, t in ((3, 4), (3, 5), (2, 7))]
+    for adj, k in cases:
+        found, nodes = reference_k_cliques(adj, k)
+        assert _k_cliques(adj, k, nodes, "x") == found
+        if nodes > 1:
+            with pytest.raises(ResourceCapError, match=f"x exceeded {nodes - 1} nodes"):
+                _k_cliques(adj, k, nodes - 1, "x")
+        assert _has_clique(adj, k, DEFAULT_NODE_CAP) == bool(found)
+        if not found and nodes > 1:
+            # with no k-clique to stop at, the existence check walks the
+            # listing's whole tree
+            assert not _has_clique(adj, k, nodes)
+            with pytest.raises(ResourceCapError):
+                _has_clique(adj, k, nodes - 1)
+
+
+def test_clique_existence_check_is_capped():
+    # the largest orthogonal sets of (3,4) are its 2-dimensional totally
+    # isotropic subspaces, 9 vectors each
+    adj = orthogonality_graph(3, 4)
+    assert _has_clique(adj, 9, DEFAULT_NODE_CAP) and not _has_clique(adj, 10, DEFAULT_NODE_CAP)
+    with pytest.raises(ResourceCapError, match="clique existence check exceeded 100 nodes"):
+        _has_clique(adj, 10, 100)
+    assert _has_clique([], 1, 1) is False and _has_clique([0], 1, 1) is True
+
+
 # ---------------------------------------------------------------------------
 # Gram determinant of an i-clique
 # ---------------------------------------------------------------------------
@@ -472,6 +556,18 @@ def test_listing_caps_below_one_are_parameter_errors(cap):
         enumerate_potential_cliques(ground, 4, cap=cap)
     with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
         monochromatic_cliques(build_paley(5), 2, cap=cap)
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_listing_sizes_below_one_are_parameter_errors(size):
+    """_k_cliques checks the size for both of its public callers, before
+    the cap; a monochromatic listing at size 0 used to give one empty
+    clique per color, and at a negative size nothing."""
+    ground = enumerate_isotropic(M3, 4)
+    for call in (lambda: enumerate_potential_cliques(ground, size, cap=0),
+                 lambda: monochromatic_cliques(build_paley(5), size)):
+        with pytest.raises(ParameterError, match="clique size must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import random
 import statistics
 import time
 from concurrent.futures import Future
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylb import field, moment
+from ramseylb import coloring, field, moment
 from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
@@ -489,6 +490,66 @@ def test_hitting_set_is_exact_against_subset_listing():
                 assert all(c & got for c in cliques)
 
 
+def reference_hitting_set(cliques, budget):
+    """The deletion search on a list of open cliques with a per-vertex
+    count at every node: its deletion, and the sum over its nodes of
+    their open cliques, at least 1 each."""
+    charged = 0
+    stack = [(0, 0, cliques)]
+    while stack:
+        deleted, banned, open_ = stack.pop()
+        charged += len(open_) or 1
+        if not open_:
+            return deleted, charged
+        frees = sorted((c & ~banned for c in open_), key=int.bit_count)
+        if not frees[0] or deleted.bit_count() + moment._disjoint_packing(frees) > budget:
+            continue
+        counts = {}
+        for free in frees:
+            while free:
+                low = free & -free
+                counts[low] = counts.get(low, 0) + 1
+                free ^= low
+        v = max(counts, key=lambda b: (counts[b], -b))
+        stack.append((deleted, banned | v, open_))
+        stack.append((deleted | v, banned, [c for c in open_ if not c & v]))
+    return None, charged
+
+
+def attempt_cliques(n, seed, attempt):
+    """The monochromatic K_4 masks and the budget m - n of one (3,4)
+    attempt, as _run_attempt lists them."""
+    ground = moment._witness_ground(3, 4)
+    sk = attempt_seed(seed, attempt)
+    m = min(len(ground), 2 * n)
+    col = build_field_coloring(ConstructionParams(ground.modulus, 4, sk, m),
+                               moment.sample_distinct(ground, m, make_rng(sk)))
+    return [sum(1 << v for v in c.vertices) for c in moment.monochromatic_cliques(col, 4)], m - n
+
+
+def test_hitting_set_on_incidence_masks_matches_the_list_search():
+    """The same deletion, or None, as the search on a list of cliques, on
+    random hypergraphs (empty and repeated cliques included) and on (3,4)
+    attempts; and the smallest cap that succeeds is the sum over the
+    nodes of their open cliques, at least 1 each."""
+    rng = random.Random(22)
+    cases = []
+    for _ in range(400):
+        m = rng.randrange(1, 14)
+        k = rng.randrange(1, min(m, 5) + 1)
+        cliques = [sum(1 << v for v in rng.sample(range(m), rng.randrange(k + 1)))
+                   for _ in range(rng.randrange(25))]
+        cases.append((cliques, rng.randrange(m + 1)))
+    cases += [attempt_cliques(n, seed, attempt)
+              for n in (14, 20, 22, 24) for seed in range(1, 9) for attempt in (1, 2)]
+    for cliques, budget in cases:
+        deleted, charged = reference_hitting_set(cliques, budget)
+        assert _hitting_set(cliques, budget, charged) == deleted
+        if charged > 1:
+            with pytest.raises(ResourceCapError, match=f"exceeded {charged - 1} nodes"):
+                _hitting_set(cliques, budget, charged - 1)
+
+
 def test_find_witness_searches_are_capped():
     # every triple of 9 vertices: a hitting set must leave at most 2 of
     # them, so 7 are needed, while at most 3 triples are disjoint
@@ -498,6 +559,19 @@ def test_find_witness_searches_are_capped():
         _hitting_set(triples, 6, 50)
     with pytest.raises(ResourceCapError):
         find_witness(3, 4, 20, 1, seed=1, node_cap=10)
+
+
+def test_find_witness_caps_the_pairs_of_its_sampled_vertices(monkeypatch):
+    """An attempt colors m = min(|V|, 2n) vertices: at n = 14, m = 28 and
+    378 pairs, checked against coloring.MAX_PAIRS before any build."""
+    builds = []
+    monkeypatch.setattr(moment, "build_field_coloring", lambda *a: builds.append(a) or build_field_coloring(*a))
+    monkeypatch.setattr(coloring, "MAX_PAIRS", 377)
+    with pytest.raises(ResourceCapError, match="a coloring of 28 vertices exceeds the cap of 377 pairs"):
+        find_witness(3, 4, 14, 1, seed=1)
+    assert not builds
+    monkeypatch.setattr(coloring, "MAX_PAIRS", 378)
+    assert isinstance(find_witness(3, 4, 14, 1, seed=1), WitnessCertificate)
 
 
 def test_attempt_seed_stable():
@@ -533,6 +607,24 @@ def test_reverify_rejects_any_coloring_block_mutation(fixture_certificate):
         assert not reverify_text(candidate), f"mutation at block offset {pos} accepted"
         mutated_count += 1
     assert mutated_count >= 10
+
+
+def test_reverify_checks_every_stored_size_by_existence():
+    """The library reverify, which takes certificates that no parse has
+    checked: each stored size moved by one either way, a size tuple one
+    short or one long, and a size of 0 or of t are rejected.  Small n
+    gives sizes from 1 to t - 1, so that an overstated size is not
+    refused by the range alone."""
+    certs = [find_witness(3, 4, n, 200, seed) for n in (6, 8, 14, 20) for seed in range(1, 4)]
+    certs += [find_witness(2, 7, 10, 200, seed) for seed in range(1, 4)]
+    for cert in certs:
+        assert reverify(cert)
+        sizes, t = cert.max_clique_sizes, cert.t
+        bad = [sizes[:-1], sizes + (1,), sizes[1:], (2,) + sizes]
+        for i in range(len(sizes)):
+            bad += [sizes[:i] + (s,) + sizes[i + 1 :] for s in (sizes[i] - 1, sizes[i] + 1, 0, t)]
+        for claimed in bad:
+            assert not reverify(replace(cert, max_clique_sizes=claimed)), (sizes, claimed)
 
 
 def test_reverify_rejects_header_and_vector_tampering(fixture_certificate):
