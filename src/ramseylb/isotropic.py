@@ -56,6 +56,21 @@ def _check_enumeration_cap(q: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> None:
         raise ResourceCapError(f"q^t = {q}^{t} exceeds enumeration cap {cap}")
 
 
+def _isotropic_count(q: int, t: int) -> int:
+    """|V|, the number of self-orthogonal vectors of F_q^t, the zero vector
+    included, for a prime q and t >= 1, without enumerating them:
+    2^(t-1) for q = 2, where x^2 = x; q^(t-1) for odd q and odd t; and
+    q^(t-1) + (q-1) q^(t/2-1) eta((-1)^(t/2)) for odd q and even t, eta
+    the quadratic character of F_q, so eta(-1) = 1 exactly when q = 1
+    mod 4 (Lidl and Niederreiter, Finite Fields, section 6.2)."""
+    if q == 2:
+        return 2 ** (t - 1)
+    if t % 2:
+        return q ** (t - 1)
+    eta = 1 if t % 4 == 0 or q % 4 == 1 else -1
+    return q ** (t - 1) + eta * (q - 1) * q ** (t // 2 - 1)
+
+
 def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_CAP) -> IsotropicSet:
     """All vectors of F_q^t orthogonal to themselves, in lexicographic order."""
     q = modulus.q

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 import re
 import statistics
@@ -45,6 +46,7 @@ from .isotropic import (
     IsotropicSet,
     _check_enumeration_cap,
     _float_threshold,
+    _isotropic_count,
     bernoulli_subset,
     enumerate_isotropic,
     sample_distinct,
@@ -99,13 +101,68 @@ def _clique_table(
     return list(position), table
 
 
+def _coin_column(i: int, u: int) -> int:
+    """Coin i's value in each of the 2^u assignments of u coins: an int
+    of 2^u bits whose bit a is bit i of a.  Read little-endian from a
+    repeated byte pattern (0xaa, 0xcc, 0xf0, then blocks of 2^(i-3) zero
+    and 2^(i-3) 0xff bytes), cut to 2^u bits when u < 3."""
+    if i < 3:
+        pattern = b"\xaa\xcc\xf0"[i : i + 1]
+    else:
+        pattern = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+    size = max(1, 1 << u >> 3)
+    return int.from_bytes(pattern * (size // len(pattern)), "little") & ((1 << (1 << u)) - 1)
+
+
+def _mono_assignments(
+    cliques: list[list[int]], columns: dict[int, tuple[list[int], list[int]]]
+) -> tuple[int, int]:
+    """u, the number of distinct coins the cliques use, and the number of
+    (clique, assignment) pairs, over all 2^u assignments of those coins,
+    in which the clique's coins agree.
+
+    Bit-sliced (Biham, FSE 1997): coin i is one column of 2^u bits, bit a
+    of it its value in assignment a, so a clique agrees in assignment a
+    exactly when bit a of AND(columns) | AND(complements) over its coins
+    is set, and its count is that int's bit_count.  columns[u] holds the
+    u columns and their complements, built on first use.  Only the coins
+    the cliques use are flipped: a coin on any other pair would double
+    both the count and the number of assignments.
+    """
+    used = sorted(set().union(*cliques))
+    local = {j: i for i, j in enumerate(used)}
+    u = len(used)
+    if u not in columns:
+        full = (1 << (1 << u)) - 1
+        cols = [_coin_column(i, u) for i in range(u)]
+        columns[u] = cols, [full ^ col for col in cols]
+    cols, negs = columns[u]
+    count = 0
+    for js in cliques:
+        ones = functools.reduce(operator.and_, [cols[local[j]] for j in js])
+        zeros = functools.reduce(operator.and_, [negs[local[j]] for j in js])
+        count += (ones | zeros).bit_count()
+    return u, count
+
+
 def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fraction:
     """Exact expectation of surviving monochromatic potential cliques.
 
-    Brute force: every subset of the ground set is enumerated with its
-    Bernoulli weight, and for each subset every coin assignment on the
-    pairs of its surviving potential cliques.  Exponential; ground sets
-    above _SUBSET_CAP vectors raise ResourceCapError.
+    Brute force: every subset S of the ground set is enumerated with its
+    Bernoulli weight, and for S every assignment of the coins on the
+    pairs of its surviving potential cliques (its live set, as a mask of
+    table positions).  The assignments are tested 2^u at a time, u the
+    live set's coins, as bit columns (see _mono_assignments), once per
+    distinct live set: subsets with the same live set share its count.
+    The counts are summed as ints by (|S|, u) and weighed as Fractions
+    at the end.  No independence or linearity argument is used, so this
+    stays a check on the product formula.
+
+    Exponential; ground sets above _SUBSET_CAP vectors raise
+    ResourceCapError.  Within the cap, only (2,2), (2,4), (3,3) and
+    (5,2) have potential cliques, and no live set uses more than 20
+    coins, so a column holds at most 2^20 bits (128 KiB); see
+    test_exact_domain_has_at_most_20_coins_per_live_set.
     """
     ground = _moment_ground(q, t, p)
     pf = Fraction(p)
@@ -115,32 +172,25 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
     _, table = _clique_table(ground, t)
     if not table:
         return Fraction(0)
-    # Each clique as its ground mask and its pairs as a mask of table positions.
-    cliques = [(mask, sum(1 << j for j in js)) for mask, js in table]
-    total = Fraction(0)
+    columns: dict[int, tuple[list[int], list[int]]] = {}
+    counts: dict[int, tuple[int, int]] = {}  # live set -> (u, count)
+    buckets: dict[tuple[int, int], int] = {}  # (|S|, u) -> summed count
     for smask in range(1 << m):
-        live = [pb for cm, pb in cliques if cm & smask == cm]
+        live = 0
+        for pos, (cm, _) in enumerate(table):
+            if cm & smask == cm:
+                live |= 1 << pos
         if not live:
             continue
-        # A coin on a pair no live clique uses doubles both the count and
-        # the number of assignments, so only the used pairs are flipped:
-        # each submask of used is one assignment of their coins.
-        used = 0
-        for pb in live:
-            used |= pb
-        mono_total = 0
-        coins = used
-        while True:
-            for pb in live:
-                masked = coins & pb
-                if masked == 0 or masked == pb:
-                    mono_total += 1
-            if not coins:
-                break
-            coins = (coins - 1) & used
-        bits = smask.bit_count()
-        wsub = pf**bits * (1 - pf) ** (m - bits)
-        total += wsub * Fraction(mono_total, 2 ** used.bit_count())
+        if live not in counts:
+            live_pairs = [js for pos, (_, js) in enumerate(table) if live >> pos & 1]
+            counts[live] = _mono_assignments(live_pairs, columns)
+        u, count = counts[live]
+        key = (smask.bit_count(), u)
+        buckets[key] = buckets.get(key, 0) + count
+    total = Fraction(0)
+    for (bits, u), count in buckets.items():
+        total += pf**bits * (1 - pf) ** (m - bits) * Fraction(count, 1 << u)
     return total
 
 
@@ -436,10 +486,14 @@ def find_witness(
     if type(q) is int and q > 1:
         _check_construction(q, t, n)
         _check_enumeration_cap(q, t)
+    PrimeModulus(q)
+    # n and the m vertices an attempt colors, from |V| counted, before the
+    # ground set is enumerated.
+    size = _isotropic_count(q, t)
+    if n > size:
+        raise CapacityError(f"n={n} exceeds the ground set size {size}")
+    _check_pairs(min(size, 2 * n))
     ground = _witness_ground(q, t)
-    if n > len(ground):
-        raise CapacityError(f"n={n} exceeds the ground set size {len(ground)}")
-    _check_pairs(min(len(ground), 2 * n))  # the m vertices an attempt colors
     # Attempt 1 runs in this process, and the generator's pool starts only
     # when it has failed.  At n <= recommended_n every sampled request won
     # at attempt 1, which takes less time than starting a pool.  Above it,

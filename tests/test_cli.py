@@ -7,6 +7,8 @@ import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ramseylb import bounds as bounds_mod, cli, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
@@ -279,8 +281,9 @@ def test_colorings_past_the_pair_cap_exit_3_at_once(tmp_path, capsys):
     """Checked before anything is built or enumerated, and for Paley
     before p's primality test, which takes seconds at 10^16 + 61: Paley
     100049 (5 * 10^9 pairs), a construction of 2 * 10^10 pairs, a
-    two-color one of 1.25 * 10^7 and the product of two Paley-89 files
-    (7,921 vertices)."""
+    two-color one of 1.25 * 10^7, a witness search whose attempts color
+    6,000 of the 2^18 vectors of (2,19), counted and not enumerated, and
+    the product of two Paley-89 files (7,921 vertices)."""
     paley = tmp_path / "p89.txt"
     assert run("construct-paley", "--p", "89", "--out", str(paley)) == 0
     capsys.readouterr()
@@ -288,6 +291,7 @@ def test_colorings_past_the_pair_cap_exit_3_at_once(tmp_path, capsys):
                     (("construct-paley", "--p", "10000000000000061"), 10000000000000061),
                     (("construct", "--q", "2", "--t", "19", "--n", "200000"), 200000),
                     (("construct-two-color", "--t", "8", "--n", "5000"), 5000),
+                    (("certify", "--q", "2", "--t", "19", "--n", "3000", "--attempts", "1"), 6000),
                     (("compose", "--a", str(paley), "--b", str(paley)), 7921)]:
         start = time.perf_counter()
         assert run(*argv) == 3
@@ -565,3 +569,89 @@ def test_limits_below_one_are_parameter_errors(tmp_path, capsys):
             # these used to exit 3 ("exceeded -5 nodes"), or 1 for the target
             assert run(*argv) == 2, argv
             assert capsys.readouterr() == ("", f"error: {message} {value} must be positive\n"), argv
+
+
+_Q = st.sampled_from([2, 3, 5, 7])
+_T = st.integers(1, 6)  # q^t stays within 7^6 where it is enumerated
+_N = st.integers(2, 40)
+_SEED = st.integers(0, 9)
+_FILE = st.sampled_from(["{col}", "{cert}", "{paley}", "{bad}", "{missing}"])
+# (option, value strategy or None for a flag, required) per subcommand;
+# flags come last, so an argv's values sit at its even positions.
+_OPTIONS = {
+    "enumerate": [("--q", _Q, True), ("--t", _T, True), ("--cap", st.sampled_from([10**6, 1000]), False)],
+    "construct": [("--q", _Q, True), ("--t", _T, True), ("--n", _N, True),
+                  ("--cap", st.sampled_from([10**6, 1000]), False), ("--seed", _SEED, False)],
+    "construct-two-color": [("--t", _T, True), ("--n", _N, True), ("--seed", _SEED, False)],
+    "construct-paley": [("--p", st.sampled_from([5, 13, 17, 89]), True)],
+    "verify": [("--coloring", _FILE, True), ("--target", st.integers(1, 6), True),
+               ("--cap", st.sampled_from([10**7, 50]), False), ("--csv", None, False)],
+    "certify": [("--q", _Q, True), ("--t", _T, True), ("--n", _N, True),
+                ("--attempts", st.integers(1, 2), True),
+                ("--cap", st.sampled_from([10**7, 50]), False), ("--seed", _SEED, False),
+                ("--jobs", st.just(1), False)],
+    "reverify": [("--cert", _FILE, True)],
+    "compose": [("--a", _FILE, True), ("--b", _FILE, True)],
+    "bounds": [("--t", st.integers(1, 200), True), ("--colors", st.integers(2, 9), True),
+               ("--slack", st.sampled_from(["0", "1/2", "3", "abc", "1/0"]), False), ("--csv", None, False)],
+}
+# Values past a check, a cap or int(), put in place of any one value.
+_ODD = ["x", "-1", "0", "1", "4", "40", "200000", "99999999999999999999", "10000000000000061",
+        str(2**64), "{missing}", "{bad}"]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required options and some optional ones,
+    values in bounded ranges; now and then one value made odd, one
+    argument dropped or an unknown option added."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option, value, required in _OPTIONS[command]:
+        if required or draw(st.booleans()):
+            argv += [option] if value is None else [option, str(draw(value))]
+    change = draw(st.sampled_from(["none", "none", "odd", "drop", "bogus"]))
+    if change == "odd" and len(argv) > 2:
+        argv[draw(st.sampled_from(range(2, len(argv), 2)))] = draw(st.sampled_from(_ODD))
+    elif change == "drop":
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    elif change == "bogus":
+        argv.append("--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """The files a fuzzed argv may name, by placeholder."""
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {name: str(root / name) for name in ("col", "cert", "paley", "p89", "bad", "missing")}
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert dispatch(["construct", "--q", "3", "--t", "4", "--n", "14", "--out", files["col"]]) == 0
+        assert dispatch(["certify", "--q", "3", "--t", "4", "--n", "14", "--out", files["cert"]]) == 0
+        assert dispatch(["construct-paley", "--p", "5", "--out", files["paley"]]) == 0
+        assert dispatch(["construct-paley", "--p", "89", "--out", files["p89"]]) == 0
+    with open(files["bad"], "w") as f:
+        f.write("colors=3\n1 2\n")
+    return files
+
+
+@given(argv=_argv())
+@example(argv=["bounds", "--t", "1", "--colors", "4000"])
+@example(argv=["construct-two-color", "--t", "99999999999999999999", "--n", "4"])
+@example(argv=["construct-paley", "--p", "100049"])
+@example(argv=["construct", "--q", "2", "--t", "19", "--n", "200000"])
+@example(argv=["compose", "--a", "{p89}", "--b", "{p89}"])
+@example(argv=["certify", "--q", "2", "--t", "19", "--n", "3000", "--attempts", "1"])
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_every_subcommand_argv_exits_0_to_3_without_a_traceback(fuzz_files, argv):
+    """Through dispatch, an answer or a typed error, each within 5 s: an
+    untyped exception escapes dispatch and fails the test.  The first five
+    examples once raised, hung or ran out of memory; the last one
+    enumerated 2^18 vectors before its pair cap."""
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = dispatch(argv)
+    assert status in (0, 1, 2, 3), argv
+    assert time.perf_counter() - start < 5, argv

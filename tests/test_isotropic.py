@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ramseylb.errors import CapacityError, DimensionError, ParameterError, ResourceCapError
-from ramseylb.field import FieldVector, PrimeModulus, is_isotropic
+from ramseylb.field import FieldVector, PrimeModulus, is_isotropic, is_prime
 from ramseylb.isotropic import (
     IsotropicSet,
+    _isotropic_count,
     bernoulli_subset,
     enumerate_isotropic,
     sample_distinct,
@@ -61,6 +62,20 @@ def test_cardinality_bounds(q, t):
     assert count == brute_count(q, t)
     assert count * q * q >= q**t
     assert count <= q**t
+
+
+def test_isotropic_count_matches_the_enumeration():
+    """The closed form of |V| against the enumeration, for every prime
+    q < 40 and 1 <= t <= 11 with q^t <= 5 * 10^4, both parities of t and
+    both classes of q mod 4 included."""
+    checked = set()
+    for q in (q for q in range(2, 40) if is_prime(q)):
+        for t in range(1, 12):
+            if q**t > 5 * 10**4:
+                break
+            assert _isotropic_count(q, t) == len(enumerate_isotropic(PrimeModulus(q), t)), (q, t)
+            checked.add((q % 4, t % 4))
+    assert {(1, 2), (3, 2), (1, 0), (3, 0), (1, 1), (3, 3)} <= checked
 
 
 def test_enumerate_cap_guard():

@@ -17,7 +17,7 @@ from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_cliq
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot
-from ramseylb.isotropic import bernoulli_subset, enumerate_isotropic
+from ramseylb.isotropic import _isotropic_count, bernoulli_subset, enumerate_isotropic
 from ramseylb.moment import (
     MonteCarloEstimate,
     WitnessCertificate,
@@ -174,6 +174,82 @@ def reference_exact_mono_expectation(q, t, p):
 def test_exact_expectation_matches_all_pairs_reference(q, t):
     for p in (0, Fraction(1, 4), Fraction(1, 3), 0.3, Fraction(1, 2), 1):
         assert exact_mono_expectation(q, t, p) == reference_exact_mono_expectation(q, t, p)
+
+
+def per_assignment_exact_mono_expectation(q, t, p):
+    """The exact estimator before its assignments were bit-sliced: for
+    each subset, every assignment of the coins its live cliques use, each
+    tested one clique at a time, and one Fraction per subset."""
+    ground = enumerate_isotropic(PrimeModulus(q), t)
+    pf = Fraction(p)
+    m = len(ground)
+    _, table = moment._clique_table(ground, t)
+    if not table:
+        return Fraction(0)
+    cliques = [(mask, sum(1 << j for j in js)) for mask, js in table]
+    total = Fraction(0)
+    for smask in range(1 << m):
+        live = [pb for cm, pb in cliques if cm & smask == cm]
+        if not live:
+            continue
+        used = 0
+        for pb in live:
+            used |= pb
+        mono_total = 0
+        coins = used
+        while True:
+            for pb in live:
+                masked = coins & pb
+                if masked == 0 or masked == pb:
+                    mono_total += 1
+            if not coins:
+                break
+            coins = (coins - 1) & used
+        bits = smask.bit_count()
+        wsub = pf**bits * (1 - pf) ** (m - bits)
+        total += wsub * Fraction(mono_total, 2 ** used.bit_count())
+    return total
+
+
+def test_coin_columns_hold_bit_i_of_each_assignment():
+    for u in range(7):
+        for i in range(u):
+            col = moment._coin_column(i, u)
+            assert col < 1 << (1 << u)
+            assert [col >> a & 1 for a in range(1 << u)] == [a >> i & 1 for a in range(1 << u)]
+
+
+@pytest.mark.parametrize("q, t", [(2, 2), (2, 4), (3, 3)])
+def test_bit_sliced_exact_expectation_matches_the_per_assignment_loop(q, t):
+    for p in (0, Fraction(1, 4), Fraction(1, 3), 0.3, Fraction(1, 2), 1):
+        assert exact_mono_expectation(q, t, p) == per_assignment_exact_mono_expectation(q, t, p)
+
+
+def test_bit_sliced_exact_expectation_at_twenty_coins():
+    """(5,2): 20 orthogonal pairs among 9 vectors, each a clique of one
+    coin, so always monochromatic, and the full set's live set uses all
+    20 coins.  The per-assignment loop takes seconds here."""
+    half = Fraction(1, 2)
+    start = time.perf_counter()
+    exact = exact_mono_expectation(5, 2, half)
+    assert time.perf_counter() - start < 1
+    assert exact == per_assignment_exact_mono_expectation(5, 2, half) == 20 * half**2
+    assert exact_mono_expectation(5, 2, Fraction(1, 3)) == 20 * Fraction(1, 9)
+
+
+def test_exact_domain_has_at_most_20_coins_per_live_set():
+    """Every (q, t) with q prime, t >= 2 and q^t <= 10^6 whose ground set
+    is within the subset cap: only four have potential cliques, and the
+    full set's live set, which uses every coin, uses at most 20.  A
+    ground set of fewer than t vectors holds no t-clique."""
+    coins = {}
+    for q in (q for q in range(2, 1001) if field.is_prime(q)):
+        for t in itertools.takewhile(lambda t: q**t <= 10**6, itertools.count(2)):
+            if t <= _isotropic_count(q, t) <= moment._SUBSET_CAP:
+                pairs, table = moment._clique_table(enumerate_isotropic(PrimeModulus(q), t), t)
+                if table:
+                    coins[q, t] = len(pairs)
+    assert coins == {(2, 2): 1, (2, 4): 16, (3, 3): 12, (5, 2): 20}
 
 
 def test_monte_carlo_agrees_with_exact_q2_t4():
@@ -572,6 +648,21 @@ def test_find_witness_caps_the_pairs_of_its_sampled_vertices(monkeypatch):
     assert not builds
     monkeypatch.setattr(coloring, "MAX_PAIRS", 378)
     assert isinstance(find_witness(3, 4, 14, 1, seed=1), WitnessCertificate)
+
+
+def test_find_witness_checks_n_and_its_pairs_before_enumerating(monkeypatch):
+    """|V| is counted, not enumerated, for the n > |V| check and the pair
+    cap on m = min(|V|, 2n): at (2,19), |V| = 2^18."""
+    def refuse(*args):
+        raise AssertionError("ground set enumerated")
+
+    monkeypatch.setattr(moment, "_witness_ground", refuse)
+    with pytest.raises(ResourceCapError, match="a coloring of 6000 vertices exceeds the cap"):
+        find_witness(2, 19, 3000, 1, seed=1)
+    with pytest.raises(CapacityError, match="n=34 exceeds the ground set size 33"):
+        find_witness(3, 4, 34, 1, seed=1)
+    with pytest.raises(ParameterError, match="modulus must be prime"):
+        find_witness(9, 4, 14, 1, seed=1)
 
 
 def test_attempt_seed_stable():
