@@ -19,6 +19,7 @@ from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
 from .coloring import (
     ConstructionParams,
     EdgeColoring,
+    _check_construction,
     _check_pairs,
     build_field_coloring,
     build_paley,
@@ -28,7 +29,13 @@ from .coloring import (
 from .compose import blowup_product
 from .errors import FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
-from .isotropic import DEFAULT_ENUM_CAP, _check_enumeration_cap, enumerate_isotropic, sample_distinct
+from .isotropic import (
+    DEFAULT_ENUM_CAP,
+    _check_enumeration_cap,
+    _isotropic_coords,
+    enumerate_isotropic,
+    sample_distinct,
+)
 from .moment import (
     CERTIFICATE_MAGIC,
     WitnessSearchFailure,
@@ -97,19 +104,43 @@ def _cmd_construct_paley(args) -> int:
     return _write(build_paley(args.p).to_text(), args.out, f"construct-paley: p={args.p}")
 
 
+def _gram_bound(q: int, t: int, color: int) -> int:
+    """The clique bound of a deterministic color of a field coloring at
+    (q, t) (see max_monochromatic_clique): t - 1 when q is odd and the
+    determinant of a t-clique's Gram matrix, color^t (-1)^(t-1) (t - 1),
+    is a nonzero non-square mod q by Euler's criterion; t otherwise."""
+    d = pow(color, t, q) * (t - 1) * (1 if t % 2 else -1) % q
+    if q > 2 and d and pow(d, (q - 1) // 2, q) == q - 1:
+        return t - 1
+    return t
+
+
 def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
     """Whether every edge of a color c in [1, q-1] joins two of the
     vectors ``construct`` samples for (q, t, n, seed) whose product is c.
 
     Then each such color class holds only cliques of vectors with
-    pairwise product c, and t bounds their size (see
-    max_monochromatic_clique).  Any error while sampling means no.
+    pairwise product c, and _gram_bound bounds their size (see
+    max_monochromatic_clique).  Any check ``construct`` would fail means no.
+
+    The vectors are drawn by position: random.sample reads only the
+    length of its population and the items at the positions it draws,
+    so sampling range(|V|) under construct's seed draws the positions of
+    construct's vectors among the ground set's coordinate tuples, and no
+    vector is built.
     """
     try:
-        _, verts = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
+        _check_pairs(n)
+        _check_enumeration_cap(q, t, DEFAULT_ENUM_CAP)
+        PrimeModulus(q)
+        _check_construction(q, t, n)
+        ground = list(_isotropic_coords(q, t))
+        if n > len(ground):
+            return False
+        picks = make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)
     except RamseyLBError:
         return False
-    products = list(_scalar_products([v.coords for v in verts], q))
+    products = list(_scalar_products([ground[i] for i in picks], q))
     if isinstance(products[0], bytes):
         # One byte per product, so q <= 16 and every color fits a byte: the
         # colors and the products must agree under a mask over [1, q - 1].
@@ -138,16 +169,16 @@ def _cmd_verify(args) -> int:
     else:
         coloring = EdgeColoring.from_text(text)
         named = field_provenance(coloring)
-    # The search of a deterministic color of a construct file stops at t.
-    # That bound is checked against the re-sampled vectors, once per file,
-    # only when a search reaches it; if it does not hold, the color is
-    # searched again without it.
+    # The search of a deterministic color of a construct file stops at its
+    # Gram bound, t or t - 1.  The bound is checked against the re-sampled
+    # vectors, once per file, only when a search reaches it; if it does not
+    # hold, the color is searched again without it.
     trusted = None
     found = False
     if args.csv:
         print("color,size,witness")
     for color in range(1, coloring.num_colors + 1):
-        upper = named[1] if named and color < named[0] else None
+        upper = _gram_bound(*named[:2], color) if named and color < named[0] else None
         w = max_monochromatic_clique(coloring, color, cap=args.cap, upper=upper)
         if upper is not None and w.size >= upper:
             if trusted is None:

@@ -30,6 +30,7 @@ from .field import FieldVector, PrimeModulus, _eliminate, _scalar_products, dot,
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
+_TWIN_AFTER = 8
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
     neighbours, all of degree d or more, then drop one bucket each: an
     upward sweep from bucket d moves them a whole bucket at a time.
     """
-    deg = [adj[v].bit_count() for v in range(n)]
+    deg = list(map(int.bit_count, adj))
     buckets = [0] * (max(deg, default=0) + 1)
-    for v in range(n):
-        buckets[deg[v]] |= 1 << v
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
     alive = (1 << n) - 1
     order: list[int] = []
     d = 0
@@ -68,8 +69,9 @@ def _degeneracy_order(adj: list[int], n: int) -> list[int]:
         low = bucket & -bucket
         buckets[d] = bucket ^ low
         alive ^= low
-        order.append(low.bit_length() - 1)
-        m = adj[order[-1]] & alive
+        v = low.bit_length() - 1
+        order.append(v)
+        m = adj[v] & alive
         e = d
         while m:
             moved = buckets[e] & m
@@ -96,6 +98,17 @@ class _ReachedUpper(Exception):
     """The incumbent reached the caller's upper bound; the search ends."""
 
 
+def _false_twins(adj: list[int]) -> list[int] | None:
+    """Per vertex, the mask of the other vertices with its adjacency
+    bitset, its false twins; None when no two vertices share a bitset."""
+    if len(set(adj)) == len(adj):
+        return None
+    groups: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        groups[a] = groups.get(a, 0) | 1 << v
+    return [groups[a] ^ 1 << v for v, a in enumerate(adj)]
+
+
 def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
     """Bitmask of one maximum clique, found deterministically.
 
@@ -103,6 +116,12 @@ def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
     ``upper`` vertices.  The incumbent changes only on a strict
     improvement, so when ``upper`` bounds the clique number the result is
     the full search's, reached after a prefix of its nodes.
+
+    A vertex whose false twin (see _false_twins) was branched earlier at
+    the same node is not branched: its candidates are a subset of the
+    twin's, whose subtree already raised the incumbent to at least the
+    size of any clique in them.  So its subtree holds no strict
+    improvement, and skipping it changes the node count only.
     """
     n = len(adj)
     if n == 0:
@@ -111,15 +130,22 @@ def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
     best_size = 0
     best_mask = 0
     visited = 0
+    # Twins are looked for once, when the search outlasts _TWIN_AFTER
+    # nodes, so that the short searches of witness sizes never pay for it.
+    twins = None
+    limit = cap if cap < _TWIN_AFTER else _TWIN_AFTER
 
     # Complemented adjacency, indexed by a vertex's bit_length (v + 1).
     non_adj = [0] + [~a for a in adj]
 
     def expand(size: int, mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask, visited
+        nonlocal best_size, best_mask, visited, twins, limit
         visited += 1
-        if visited > cap:
-            raise ResourceCapError(f"clique search exceeded {cap} nodes")
+        if visited > limit:
+            if visited > cap:
+                raise ResourceCapError(f"clique search exceeded {cap} nodes")
+            twins = _false_twins(adj)
+            limit = cap
         # Greedy coloring of the candidates, one class at a time: class k
         # takes, in ascending index, each still-uncolored candidate with
         # no neighbour already in class k.  These are exactly the classes
@@ -158,7 +184,9 @@ def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
                 members ^= vbit
                 new_cand = remaining & adj[v]
                 if new_cand:
-                    expand(size + 1, mask | vbit, new_cand)
+                    # cand ^ remaining: the vertices branched so far here.
+                    if not (twins and twins[v] & (cand ^ remaining)):
+                        expand(size + 1, mask | vbit, new_cand)
                 elif size + 1 > best_size:
                     best_size = size + 1
                     best_mask = mask | vbit
@@ -195,6 +223,12 @@ def max_monochromatic_clique(
     At s = t + 1, det G = i^s (-1)^(s-1) (s - 1) = +-i^s t (see
     clique_gram_det), which is nonzero mod q; then rank G = t + 1 > t, a
     contradiction.  So s <= t.
+
+    For odd q the bound can be t - 1, whatever t is mod q.  At s = t, V
+    is square, so det G = det(V)^2 is a square in F_q.  When
+    d = i^t (-1)^(t-1) (t - 1) is nonzero and not a square mod q, which
+    Euler's criterion d^((q-1)/2) = -1 decides, no t-clique of color i
+    exists, and so none larger either.
     """
     if cap < 1:
         raise ParameterError(f"node cap {cap} must be positive")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from random import Random
+from typing import Iterator
 
 from .errors import CapacityError, DimensionError, ParameterError, ResourceCapError
 from .field import FieldVector, PrimeModulus, is_isotropic
@@ -71,16 +73,17 @@ def _isotropic_count(q: int, t: int) -> int:
     return q ** (t - 1) + eta * (q - 1) * q ** (t // 2 - 1)
 
 
+def _isotropic_coords(q: int, t: int) -> Iterator[tuple[int, ...]]:
+    """The coordinate tuples of the self-orthogonal vectors of F_q^t, in
+    lexicographic order, for callers that have checked q and t."""
+    return (c for c in itertools.product(range(q), repeat=t) if sum(map(operator.mul, c, c)) % q == 0)
+
+
 def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_CAP) -> IsotropicSet:
     """All vectors of F_q^t orthogonal to themselves, in lexicographic order."""
-    q = modulus.q
-    _check_enumeration_cap(q, t, cap)
-    vectors = [
-        FieldVector(modulus, coords)
-        for coords in itertools.product(range(q), repeat=t)
-        if sum(c * c for c in coords) % q == 0
-    ]
-    return IsotropicSet(modulus, t, tuple(vectors))
+    _check_enumeration_cap(modulus.q, t, cap)
+    vectors = tuple(FieldVector(modulus, coords) for coords in _isotropic_coords(modulus.q, t))
+    return IsotropicSet(modulus, t, vectors)
 
 
 def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVector]:

@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
+import operator
 import random
 import re
 import time
@@ -15,9 +17,11 @@ from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import EdgeColoring, build_field_coloring, build_paley, field_provenance
 from ramseylb.compose import blowup_product
-from ramseylb.errors import ResourceCapError
+from ramseylb.errors import RamseyLBError, ResourceCapError
 from ramseylb.field import dot
+from ramseylb.isotropic import _isotropic_count
 from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
+from ramseylb.rng import derive_seed, make_rng
 
 
 def run(*argv):
@@ -410,13 +414,19 @@ def test_verify_checks_the_gram_bound_once_and_only_when_reached(tmp_path, monke
         return real(coloring, *run_args)
 
     monkeypatch.setattr(cli, "_products_match", spy)
-    # Colors 1 and 2 of (3,4,33) reach t = 4; colors 1-4 of (5,4,145) stop at 3.
+    # Colors 1 and 2 of (3,4,33) reach t = 4; colors 1-4 of (5,4,145) reach
+    # t - 1 = 3, as 1 * 3 * (-1)^3 = 2 is not a square mod 5.
     # assert_verify_is_plain_search runs verify twice.
-    for args, checks in [((3, 4, 33, 1), 2), ((2, 7, 60, 1), 2), ((5, 4, 145, 1), 0)]:
+    for args, checks in [((3, 4, 33, 1), 2), ((2, 7, 60, 1), 2), ((5, 4, 145, 1), 2)]:
         col = construct_file(tmp_path, *args)
         calls.clear()
         assert_verify_is_plain_search(tmp_path / "c-{}-{}-{}-{}.txt".format(*args), col, capsys)
         assert calls == [args] * checks
+
+
+def edge_color(col, i, j):
+    a, b = min(i, j), max(i, j)
+    return col.rows[a][b - a - 1]
 
 
 def rewrite(col, rows=None, num_colors=None, provenance=None):
@@ -442,6 +452,20 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
     swapped = [list(r) for r in col.rows]
     swapped[0][swapped[0].index(1)] = 2
     small = construct_file(tmp_path, 3, 4, 8, 2)
+    # At (5,4,145) every deterministic color stops at t - 1 = 3.  A vertex
+    # joined in color 1 to two vertices of a color-1 triangle, and in a
+    # deterministic color to the third, gets that edge recolored 1: color
+    # 1 then has a K_4, which stopping at 3 would miss.
+    c5 = construct_file(tmp_path, 5, 4, 145, 1)
+    tri = max_monochromatic_clique(c5, 1).vertices
+    assert len(tri) == 3
+    x, z = next(
+        (x, z) for x in range(c5.n) if x not in tri
+        for z in tri
+        if edge_color(c5, x, z) in (2, 3, 4) and all(edge_color(c5, x, v) == 1 for v in tri if v != z)
+    )
+    sharpened = [list(r) for r in c5.rows]
+    sharpened[min(x, z)][abs(x - z) - 1] = 1
     cases = {
         # color 1 gains a K_5, which stopping at t = 4 would miss
         "grown": rewrite(col, rows=grown),
@@ -457,8 +481,10 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
         "induced": col.induced(range(20)),
         "permuted": col.induced(range(32, -1, -1)),
         "composed": blowup_product(build_paley(5), col),
+        "sharpened-one-edge": rewrite(c5, rows=sharpened),
     }
     assert verify_by_plain_search(cases["grown"], 9)[1].startswith("color 1: max clique 5")
+    assert verify_by_plain_search(cases["sharpened-one-edge"], 9)[1].startswith("color 1: max clique 4")
     assert "color 2: max clique 4" in verify_by_plain_search(cases["t-zero-mod-q-sampled"], 9)[1]
     assert cli._products_match(col, *field_provenance(col))
     # Only colors below q are checked against the products: a coin color
@@ -515,6 +541,69 @@ def test_trust_check_agrees_with_the_per_pair_rule():
             edited = rewrite(col, rows=rows)
             assert not cli._products_match(edited, *named)
             assert not per_pair_products_match(edited, *named)
+
+
+def reference_products_match(coloring, q, t, n, seed):
+    """The trust check on construct's own sample: the enumerated ground
+    set, sample_distinct and the checks of _construct_sample, then the
+    per-pair rule; no wherever the sampling raises."""
+    try:
+        cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+    except RamseyLBError:
+        return False
+    return per_pair_products_match(coloring, q, t, n, seed)
+
+
+def positional_coloring(q, t, n, seed):
+    """A coloring that agrees with the products of the n coordinate tuples
+    the trust check draws for (q, t, n, seed), drawn with none of
+    construct's checks, so also where construct refuses; a zero product
+    gets color q + 1."""
+    ground = [c for c in itertools.product(range(q), repeat=t) if sum(x * x for x in c) % q == 0]
+    picks = [ground[k] for k in make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)]
+    rows = tuple(tuple(sum(map(operator.mul, picks[i], picks[j])) % q or q + 1 for j in range(i + 1, n))
+                 for i in range(n - 1))
+    return EdgeColoring(n, q + 1, rows)
+
+
+def test_trust_check_by_position_agrees_with_the_enumerated_sample():
+    rng = random.Random(24)
+    # (q, t, n, seed): n = |V| at (3,3), (2,4), (5,2) and (3,4); n = |V| + 1
+    # at (3,3) and (7,2); 2^20 vectors exceed the enumeration cap; q = 4, 6
+    # and 9 are composite; t = 0 mod q; n = 1; a seed past 64 bits.  Where
+    # construct refuses, the coloring agrees with the products of the
+    # tuples drawn without its checks, or, where none can be drawn, has
+    # only the coin color q + 1; either way only the refusal answers no.
+    cases = [(3, 3, 9, 1), (2, 4, 8, 2), (5, 2, 9, 3), (3, 4, 33, 4), (3, 3, 10, 5), (7, 2, 2, 6),
+             (2, 20, 6, 7), (4, 3, 8, 8), (6, 2, 2, 9), (9, 2, 9, 10), (3, 6, 20, 11),
+             (3, 4, 1, 12), (3, 4, 12, 2**64)]
+    drawable = {(4, 3, 8, 8), (6, 2, 2, 9), (9, 2, 9, 10), (3, 6, 20, 11), (3, 4, 1, 12)}
+    for _ in range(60):
+        q = rng.choice([2, 3, 5, 7, 11, 13, 4, 9])
+        t = rng.randint(1, 4 if q < 11 else 3)
+        size = _isotropic_count(q, t) if q in (2, 3, 5, 7, 11, 13) else q**t
+        cases.append((q, t, rng.randint(1, min(size + 2, 40)), rng.randrange(2**64)))
+    raised = matched = 0
+    for q, t, n, seed in cases:
+        try:
+            params, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+        except RamseyLBError:
+            raised += 1
+            col = positional_coloring(q, t, n, seed) if (q, t, n, seed) in drawable else \
+                EdgeColoring(n, q + 1, tuple((q + 1,) * (n - 1 - i) for i in range(n - 1)))
+            assert not reference_products_match(col, q, t, n, seed)
+            assert not cli._products_match(col, q, t, n, seed), (q, t, n, seed)
+            continue
+        col = build_field_coloring(params, verts)
+        assert cli._products_match(col, q, t, n, seed), (q, t, n, seed)
+        matched += 1
+        for _ in range(5):
+            rows = [list(r) for r in col.rows]
+            i = rng.randrange(n - 1)
+            rows[i][rng.randrange(n - 1 - i)] = rng.randint(1, q + 1)
+            edited = rewrite(col, rows=rows)
+            assert cli._products_match(edited, q, t, n, seed) == reference_products_match(edited, q, t, n, seed)
+    assert raised >= 9 and matched >= 20
 
 
 def test_verify_finishes_under_a_cap_the_plain_search_exceeds(tmp_path, capsys):

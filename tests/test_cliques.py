@@ -9,7 +9,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from ramseylb import moment
-from ramseylb.cli import _construct_sample
+from ramseylb.cli import _construct_sample, _gram_bound
 from ramseylb.cliques import (
     DEFAULT_NODE_CAP,
     PotentialClique,
@@ -26,6 +26,7 @@ from ramseylb.cliques import (
     rank_count_bound,
 )
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
+from ramseylb.compose import blowup_product
 from ramseylb.errors import ParameterError, ResourceCapError
 from ramseylb.field import FieldVector, PrimeModulus, dot, rank
 from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic, sample_distinct
@@ -177,6 +178,141 @@ def test_search_matches_first_fit_reference_and_cap_boundary():
                 _max_clique_mask(adj, nodes - 1)
             # Stopping at the clique number keeps the witness.
             assert _max_clique_mask(adj, nodes, mask.bit_count()) == mask
+
+
+def reference_bbmc_mask(adj, upper=None):
+    """The class-at-a-time search before the false-twin cut: its clique
+    mask and its number of search nodes."""
+    n = len(adj)
+    if n == 0:
+        return 0, 0
+    stop = n + 1 if upper is None else upper
+    best_size = best_mask = visited = 0
+    non_adj = [0] + [~a for a in adj]
+
+    class Reached(Exception):
+        pass
+
+    def expand(size, mask, cand):
+        nonlocal best_size, best_mask, visited
+        visited += 1
+        floor = max(best_size - size, 0)
+        classes = []
+        uncolored = cand
+        k = 0
+        while uncolored:
+            k += 1
+            members = 0
+            m = uncolored
+            while m:
+                low = m & -m
+                members |= low
+                m &= non_adj[low.bit_length()]
+                m ^= low
+            uncolored ^= members
+            if k > floor:
+                classes.append(members)
+        remaining = cand
+        bound = k
+        for members in reversed(classes):
+            while members:
+                if size + bound <= best_size:
+                    return
+                v = members.bit_length() - 1
+                vbit = 1 << v
+                members ^= vbit
+                new_cand = remaining & adj[v]
+                if new_cand:
+                    expand(size + 1, mask | vbit, new_cand)
+                elif size + 1 > best_size:
+                    best_size = size + 1
+                    best_mask = mask | vbit
+                    if best_size >= stop:
+                        raise Reached
+                remaining ^= vbit
+            bound -= 1
+
+    try:
+        expand(0, 0, (1 << n) - 1)
+    except Reached:
+        pass
+    return best_mask, visited
+
+
+def search_nodes(adj, most, upper=None):
+    """The fewest nodes _max_clique_mask succeeds within, at most ``most``;
+    it raises the cap error one below."""
+    lo, hi = 1, most
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _max_clique_mask(adj, mid, upper)
+            hi = mid
+        except ResourceCapError:
+            lo = mid + 1
+    if lo > 1:
+        with pytest.raises(ResourceCapError):
+            _max_clique_mask(adj, lo - 1, upper)
+    return lo
+
+
+def with_false_twins(rng, adj, copies):
+    """adj with ``copies`` new vertices, each given the neighbourhood of a
+    random existing vertex, so a false twin of it."""
+    adj = list(adj)
+    for _ in range(copies):
+        src, v = rng.randrange(len(adj)), len(adj)
+        adj.append(adj[src])
+        m = adj[src]
+        while m:
+            low = m & -m
+            adj[low.bit_length() - 1] |= 1 << v
+            m ^= low
+    return adj
+
+
+def smallest_last(adj):
+    return _relabel(adj, _degeneracy_order(adj, len(adj)))
+
+
+def test_false_twin_cut_keeps_the_witness_and_never_adds_nodes():
+    """The same mask as the search before the cut, with and without a
+    stop at the clique number, and never more nodes: on graphs with
+    planted false twins, the color classes of blow-up products, and the
+    kept colorings of (3,4) witnesses at n = 14."""
+    rng = random.Random(24)
+    cases = [with_false_twins(rng, random_bitset_graph(rng, rng.randrange(1, 45), rng.random()),
+                              rng.randrange(1, 12)) for _ in range(150)]
+    for _ in range(30):
+        product = blowup_product(random_coloring(rng, rng.randrange(2, 10), rng.randrange(1, 4)),
+                                 random_coloring(rng, rng.randrange(2, 10), rng.randrange(1, 4)))
+        cases += [smallest_last(product.color_class_bitsets(c)) for c in range(1, product.num_colors + 1)]
+    for seed in range(1, 41):
+        kept = moment.find_witness(3, 4, 14, 200, seed).coloring
+        cases += [smallest_last(kept.color_class_bitsets(c)) for c in range(1, 5)]
+    assert len(cases) > 150 + 160
+    fewer = 0
+    for adj in cases:
+        mask, nodes = reference_bbmc_mask(adj)
+        assert _max_clique_mask(adj, nodes) == mask
+        assert _max_clique_mask(adj, nodes, mask.bit_count() or None) == mask
+        fewer += search_nodes(adj, nodes) < nodes
+        if mask:
+            assert search_nodes(adj, nodes, mask.bit_count()) <= reference_bbmc_mask(adj, mask.bit_count())[1]
+    assert fewer >= 25
+
+
+def test_false_twin_cut_on_the_paley_product():
+    """The outer colors of Paley(13) x Paley(13) join whole copies, so each
+    copy's 13 vertices are false twins there."""
+    paley = build_paley(13)
+    product = blowup_product(paley, paley)
+    for color, before, after in ((1, 54, 12), (2, 392, 14)):
+        adj = smallest_last(product.color_class_bitsets(color))
+        mask, nodes = reference_bbmc_mask(adj)
+        assert nodes == before
+        assert _max_clique_mask(adj, after) == mask
+        assert search_nodes(adj, nodes) == after
 
 
 def reference_degeneracy_order(adj, n):
@@ -627,21 +763,42 @@ def test_nonzero_color_cliques_never_exceed_t():
                 assert rank([ground.vectors[k] for k in w.vertices]) == w.size
 
 
+def test_gram_bound_is_each_deterministic_class_clique_number():
+    """verify's stop for color i, t - 1 when i^t (-1)^(t-1) (t - 1) is a
+    non-square mod q and t otherwise, equals the clique number that
+    networkx finds in each color below q on the whole ground set."""
+    bounds = set()
+    for q, t in [(3, 4), (3, 5), (5, 2), (5, 3), (5, 4), (7, 3), (11, 3), (13, 2)]:
+        modulus = PrimeModulus(q)
+        ground = enumerate_isotropic(modulus, t).vectors
+        col = build_field_coloring(ConstructionParams(modulus, t, seed=1, n=len(ground)), ground)
+        for i in range(1, q):
+            g = nx.Graph()
+            g.add_nodes_from(range(col.n))
+            g.add_edges_from((a, b) for a, row in enumerate(col.rows) for b, c in enumerate(row, a + 1) if c == i)
+            bound = _gram_bound(q, t, i)
+            assert max(map(len, nx.find_cliques(g))) == bound, (q, t, i)
+            bounds.add(t - bound)
+    assert bounds == {0, 1}
+
+
 def construct_coloring(q, t, n, seed):
     """The coloring the construct subcommand writes for these arguments."""
     return build_field_coloring(*_construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP))
 
 
 def test_search_stopped_at_t_returns_the_full_search_witness():
-    reached = 0
+    reached = sharpened = 0
     for q, t, n, seed in [(3, 4, 33, 1), (3, 4, 33, 271828), (2, 7, 60, 1), (3, 5, 60, 2),
                           (5, 4, 145, 1), (7, 3, 30, 4), (11, 3, 40, 3), (2, 9, 200, 1)]:
         col = construct_coloring(q, t, n, seed)
         for c in range(1, q):
             w = max_monochromatic_clique(col, c, upper=t)
             assert w == max_monochromatic_clique(col, c)
+            assert w == max_monochromatic_clique(col, c, upper=_gram_bound(q, t, c))
             reached += w.size == t
-    assert reached >= 8
+            sharpened += w.size == _gram_bound(q, t, c) == t - 1
+    assert reached >= 8 and sharpened >= 8
 
 
 def test_stopped_search_fits_under_a_cap_the_full_search_exceeds():
