@@ -258,18 +258,24 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
     IsotropicSet(params.modulus, params.t, tuple(verts))
     # A nonzero product is the color; a zero product flips the coin keyed
     # by pair_identity's string, the two text forms in coordinate order.
+    # The vertices are distinct, so ranks in coordinate order compare as
+    # their coordinates do, and each text carries its "|" once.
     seed = params.seed
     coords = [v.coords for v in verts]
     texts = [v.text_form() for v in verts]
+    heads = [text + "|" for text in texts]
+    ranks = [0] * len(verts)
+    for r, k in enumerate(sorted(range(len(verts)), key=coords.__getitem__)):
+        ranks[k] = r
     rows = []
     for i, prods in enumerate(_scalar_products(coords, q)):
-        ci, ti = coords[i], texts[i]
+        ri, hi, ti = ranks[i], heads[i], texts[i]
         row = list(prods)
         j = -1
         for _ in range(prods.count(0)):
             j = prods.index(0, j + 1)
-            cj, tj = coords[i + 1 + j], texts[i + 1 + j]
-            row[j] = q + pair_coin(seed, ti + "|" + tj if ci < cj else tj + "|" + ti)
+            k = i + 1 + j
+            row[j] = q + pair_coin(seed, hi + texts[k] if ri < ranks[k] else heads[k] + ti)
         rows.append(tuple(row))
     prov = (_field_line(q, params.t, params.n, params.seed),)
     return EdgeColoring(params.n, q + 1, tuple(rows), prov)

@@ -20,7 +20,6 @@ import operator
 import os
 import re
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
@@ -442,6 +441,9 @@ def _pooled_attempts(q, t, ground, n, seed, attempts, workers, node_cap):
     success, so an error in a later attempt of the same wave is dropped,
     as a sequential run would never have made that attempt.
     """
+    # Imported here: it loads multiprocessing, which no other path needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for start in range(0, len(attempts), workers):
             futures = [

@@ -50,11 +50,24 @@ def _coin_state(seed: int):
     return hashlib.blake2b(digest_size=1, key=_seed_bytes(seed), person=b"rlb-coin")
 
 
+# The last seed object pair_coin was given, once it passed _checked, and
+# its keyed state.  A call with that same object skips the check and the
+# cache lookup; any other seed, even an equal int, takes the full path.
+# One tuple, read and replaced whole, so no thread can pair a seed with
+# another seed's state.
+_last_coin: tuple[object, object] = (object(), None)
+
+
 def pair_coin(seed: int, identity: str) -> int:
     """Unbiased bit fully determined by (seed, identity)."""
-    # The seed is checked before the cache is asked, which would take a
-    # float equal to a cached int for that int.
-    h = _coin_state(_checked(seed)).copy()
+    global _last_coin
+    last, state = _last_coin
+    if seed is not last:
+        # The seed is checked before the cache is asked, which would take
+        # a float equal to a cached int for that int.
+        state = _coin_state(_checked(seed))
+        _last_coin = (seed, state)
+    h = state.copy()
     h.update(identity.encode())
     return h.digest()[0] & 1
 

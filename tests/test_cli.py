@@ -4,9 +4,13 @@ import hashlib
 import io
 import itertools
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -744,3 +748,17 @@ def test_every_subcommand_argv_exits_0_to_3_without_a_traceback(fuzz_files, argv
         status = dispatch(argv)
     assert status in (0, 1, 2, 3), argv
     assert time.perf_counter() - start < 5, argv
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only --jobs > 1 starts a process pool, so only it pays for the import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, ramseylb.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from ramseylb.coloring import (
 )
 from ramseylb.compose import blowup_product
 from ramseylb.errors import CapacityError, DimensionError, FormatError, ParameterError, ResourceCapError
-from ramseylb.field import FieldVector, PrimeModulus, dot
+from ramseylb.field import FieldVector, PrimeModulus, _scalar_products, dot
 from ramseylb.isotropic import enumerate_isotropic, sample_distinct
 from ramseylb.rng import derive_seed, make_rng, pair_coin
 
@@ -142,9 +142,14 @@ def reference_build(params, vertices):
     return EdgeColoring(params.n, q + 1, rows, prov)
 
 
-@pytest.mark.parametrize("q, t, n", [(2, 5, 16), (3, 4, 33), (5, 4, 145), (2, 9, 200)])
+# The last two have t(q - 1)^2 >= 256, so their product rows are lists, not bytes.
+@pytest.mark.parametrize(
+    "q, t, n", [(2, 5, 16), (3, 4, 33), (5, 4, 145), (2, 9, 200), (11, 3, 60), (13, 2, 25)]
+)
 def test_field_coloring_matches_per_pair_reference(q, t, n):
     ground = enumerate_isotropic(PrimeModulus(q), t)
+    rows = _scalar_products([v.coords for v in ground.vectors[:2]], q)
+    assert isinstance(next(rows), list) == (t * (q - 1) ** 2 >= 256)
     for seed in (1, 2, 2**64 - 1):
         verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "sample")))
         params = ConstructionParams(ground.modulus, t, seed, n)

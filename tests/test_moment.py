@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -504,7 +505,7 @@ def test_find_witness_starts_no_pool_when_attempt_one_wins(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(moment, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     par = find_witness(3, 4, 20, 200, seed=271828, jobs=2)
     assert par == seq
     assert certificate_to_text(par) == certificate_to_text(seq)
@@ -533,7 +534,7 @@ def test_find_witness_caps_pool_workers_at_the_cpu_count(monkeypatch):
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(moment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(moment.os, "cpu_count", lambda: 3)
     for jobs in (2, 100_000):
         assert find_witness(3, 4, 33, 4, seed=1, jobs=jobs) == seq

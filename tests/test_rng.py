@@ -60,3 +60,36 @@ def test_pair_coin_matches_a_fresh_keyed_hash():
             for ident in identities:
                 assert pair_coin(seed, ident) == reference_pair_coin(seed, ident)
     assert rng._coin_state.cache_info().currsize <= 4
+
+
+def test_pair_coin_under_seeds_that_alternate_call_by_call():
+    """Each call takes another seed than the last one, cycling through
+    more seeds than the cache holds, so no call reuses the last seed's
+    keyed state."""
+    seeds = [0, 1, 2**64 - 1] + [derive_seed(9, "alternate", k) for k in range(5)]
+    for i in range(400):
+        ident = f"{i % 7} {i // 7}|{i * 13 % 101} 1"
+        for seed in seeds:
+            assert pair_coin(seed, ident) == reference_pair_coin(seed, ident)
+
+
+def test_pair_coin_under_equal_ints_that_are_distinct_objects():
+    a = derive_seed(11, "twin")
+    b = int(str(a))
+    assert a == b and a is not b
+    for i in range(50):
+        ident = f"{i} 0|0 {i}"
+        want = reference_pair_coin(a, ident)
+        assert pair_coin(a, ident) == want
+        assert pair_coin(b, ident) == want
+        assert pair_coin(b, ident) == want
+
+
+@pytest.mark.parametrize("bad", [-1, 1.0, "1"])
+def test_a_rejected_seed_between_calls_under_an_accepted_one(bad):
+    for good in (1, derive_seed(13, "good")):
+        assert pair_coin(good, "a|b") == reference_pair_coin(good, "a|b")
+        for _ in range(2):
+            with pytest.raises(ParameterError):
+                pair_coin(bad, "a|b")
+        assert pair_coin(good, "c|d") == reference_pair_coin(good, "c|d")
