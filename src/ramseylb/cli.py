@@ -17,9 +17,9 @@ from typing import Sequence
 from . import bounds as bounds_mod
 from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
 from .coloring import (
+    MAX_PAIRS,
     ConstructionParams,
     EdgeColoring,
-    _check_construction,
     _check_pairs,
     build_field_coloring,
     build_paley,
@@ -27,9 +27,10 @@ from .coloring import (
     field_provenance,
 )
 from .compose import blowup_product
-from .errors import FormatError, ParameterError, RamseyLBError, ResourceCapError
+from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
-from .isotropic import (
+# sample_distinct is not called here; perfbench wraps ramseylb.cli.sample_distinct.
+from .isotropic import (  # noqa: F401
     DEFAULT_ENUM_CAP,
     _check_enumeration_cap,
     _isotropic_coords,
@@ -78,19 +79,30 @@ def _cmd_enumerate(args) -> int:
 
 def _construct_sample(
     q: int, t: int, n: int, seed: int, cap: int
-) -> tuple[ConstructionParams, list[FieldVector]]:
-    """The parameters and vertices of ``construct``: n distinct ground-set
-    vectors of F_q^t, sampled under the seed."""
+) -> tuple[ConstructionParams, list[tuple[int, ...]]]:
+    """The parameters of ``construct`` and the coordinate tuples of its
+    vertices: n distinct ground-set vectors of F_q^t, sampled under the seed.
+
+    The positions are drawn from range(|V|): random.sample reads only the
+    length of its population and the items at the positions it draws, so
+    these are the coordinates of the vectors sample_distinct draws from
+    the enumerated ground set; no vector is built.
+    """
     _check_pairs(n)
     _check_enumeration_cap(q, t, cap)
     modulus = PrimeModulus(q)
-    ground = enumerate_isotropic(modulus, t, cap=cap)
-    verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "construct-sample")))
-    return ConstructionParams(modulus, t, seed, n), verts
+    if n < 0:
+        raise ParameterError("sample size must be non-negative")
+    ground = list(_isotropic_coords(q, t))
+    if n > len(ground):
+        raise CapacityError(f"requested {n} distinct vectors from a set of {len(ground)}")
+    picks = make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)
+    return ConstructionParams(modulus, t, seed, n), [ground[i] for i in picks]
 
 
 def _cmd_construct(args) -> int:
-    params, verts = _construct_sample(args.q, args.t, args.n, args.seed, args.cap)
+    params, coords = _construct_sample(args.q, args.t, args.n, args.seed, args.cap)
+    verts = [FieldVector(params.modulus, c) for c in coords]
     summary = f"construct: seed={args.seed} q={args.q} t={args.t} n={args.n}"
     return _write(build_field_coloring(params, verts).to_text(), args.out, summary)
 
@@ -121,26 +133,13 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
 
     Then each such color class holds only cliques of vectors with
     pairwise product c, and _gram_bound bounds their size (see
-    max_monochromatic_clique).  Any check ``construct`` would fail means no.
-
-    The vectors are drawn by position: random.sample reads only the
-    length of its population and the items at the positions it draws,
-    so sampling range(|V|) under construct's seed draws the positions of
-    construct's vectors among the ground set's coordinate tuples, and no
-    vector is built.
+    max_monochromatic_clique).  A request ``construct`` refuses means no.
     """
     try:
-        _check_pairs(n)
-        _check_enumeration_cap(q, t, DEFAULT_ENUM_CAP)
-        PrimeModulus(q)
-        _check_construction(q, t, n)
-        ground = list(_isotropic_coords(q, t))
-        if n > len(ground):
-            return False
-        picks = make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)
+        _, coords = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
     except RamseyLBError:
         return False
-    products = list(_scalar_products([ground[i] for i in picks], q))
+    products = list(_scalar_products(coords, q))
     if isinstance(products[0], bytes):
         # One byte per product, so q <= 16 and every color fits a byte: the
         # colors and the products must agree under a mask over [1, q - 1].
@@ -169,22 +168,21 @@ def _cmd_verify(args) -> int:
     else:
         coloring = EdgeColoring.from_text(text)
         named = field_provenance(coloring)
+    # One search per declared color, each at least a pass over the vertices,
+    # so the palette times the vertices is held to the cap on a coloring.
+    k, n = coloring.num_colors, coloring.n
+    if k * n > MAX_PAIRS:
+        raise ResourceCapError(f"{k} colors on {n} vertices exceed the cap of {MAX_PAIRS}")
     # The search of a deterministic color of a construct file stops at its
-    # Gram bound, t or t - 1.  The bound is checked against the re-sampled
-    # vectors, once per file, only when a search reaches it; if it does not
-    # hold, the color is searched again without it.
-    trusted = None
+    # Gram bound, t or t - 1, once the file's colors are checked against
+    # the re-sampled vectors; any other file gets the plain search.
+    trusted = named is not None and _products_match(coloring, *named)
     found = False
     if args.csv:
         print("color,size,witness")
-    for color in range(1, coloring.num_colors + 1):
-        upper = _gram_bound(*named[:2], color) if named and color < named[0] else None
+    for color in range(1, k + 1):
+        upper = _gram_bound(*named[:2], color) if trusted and color < named[0] else None
         w = max_monochromatic_clique(coloring, color, cap=args.cap, upper=upper)
-        if upper is not None and w.size >= upper:
-            if trusted is None:
-                trusted = _products_match(coloring, *named)
-            if not trusted:
-                w = max_monochromatic_clique(coloring, color, cap=args.cap)
         verts = " ".join(str(v) for v in w.vertices)
         if args.csv:
             print(f"{color},{w.size},{verts}")

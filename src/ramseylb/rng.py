@@ -9,7 +9,6 @@ run in any order or in parallel without changing any result.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import random
 
@@ -42,17 +41,10 @@ def derive_seed(seed: int, *labels: object) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-# A coloring build or a Monte Carlo trial flips all its coins under one
-# seed, so the keyed state is made once per seed and copied per coin.
-# The cache holds a few states, never one per seed seen.
-@functools.lru_cache(maxsize=4)
-def _coin_state(seed: int):
-    return hashlib.blake2b(digest_size=1, key=_seed_bytes(seed), person=b"rlb-coin")
-
-
 # The last seed object pair_coin was given, once it passed _checked, and
-# its keyed state.  A call with that same object skips the check and the
-# cache lookup; any other seed, even an equal int, takes the full path.
+# its keyed state.  A coloring build or a Monte Carlo trial flips all its
+# coins under one seed object, so the state is keyed once and copied per
+# coin; a call with any other seed, even an equal int, keys a new state.
 # One tuple, read and replaced whole, so no thread can pair a seed with
 # another seed's state.
 _last_coin: tuple[object, object] = (object(), None)
@@ -63,9 +55,7 @@ def pair_coin(seed: int, identity: str) -> int:
     global _last_coin
     last, state = _last_coin
     if seed is not last:
-        # The seed is checked before the cache is asked, which would take
-        # a float equal to a cached int for that int.
-        state = _coin_state(_checked(seed))
+        state = hashlib.blake2b(digest_size=1, key=_seed_bytes(seed), person=b"rlb-coin")
         _last_coin = (seed, state)
     h = state.copy()
     h.update(identity.encode())

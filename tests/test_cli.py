@@ -19,11 +19,18 @@ from hypothesis import strategies as st
 from ramseylb import bounds as bounds_mod, cli, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
-from ramseylb.coloring import EdgeColoring, build_field_coloring, build_paley, field_provenance
+from ramseylb.coloring import (
+    ConstructionParams,
+    EdgeColoring,
+    _check_pairs,
+    build_field_coloring,
+    build_paley,
+    field_provenance,
+)
 from ramseylb.compose import blowup_product
 from ramseylb.errors import RamseyLBError, ResourceCapError
-from ramseylb.field import dot
-from ramseylb.isotropic import _isotropic_count
+from ramseylb.field import FieldVector, PrimeModulus, dot
+from ramseylb.isotropic import _check_enumeration_cap, _isotropic_count, enumerate_isotropic, sample_distinct
 from ramseylb.moment import certificate_from_text, certificate_to_text, find_witness
 from ramseylb.rng import derive_seed, make_rng
 
@@ -102,6 +109,12 @@ def test_certify_failure_exit_code(tmp_path, capsys):
     assert status == 1
     out = capsys.readouterr().out
     assert "no witness" in out
+    # ten failed attempts are listed, and the rest counted
+    assert run("certify", "--q", "3", "--t", "4", "--n", "33", "--attempts", "12") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"certify: seed={DEFAULT_SEED} no witness within 12 attempts"
+    assert [line.split(":")[0] for line in lines[1:11]] == [f"  attempt {k}" for k in range(1, 11)]
+    assert lines[11:] == ["  ... and 2 more attempts"]
 
 
 def test_compose_matches_library(tmp_path):
@@ -309,6 +322,34 @@ def test_colorings_past_the_pair_cap_exit_3_at_once(tmp_path, capsys):
         assert out.err == f"error: a coloring of {n} vertices exceeds the cap of 10000000 pairs\n"
 
 
+def test_verify_of_a_palette_past_the_cap_exits_3_before_any_output(tmp_path, monkeypatch, capsys):
+    """verify searches each declared color, so colors times vertices is
+    held to the pair cap before the CSV header; a 45-byte file declaring
+    10^12 colors used to print a line per color for as long as it ran."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched a color of a palette past the cap")
+
+    monkeypatch.setattr(cli, "max_monochromatic_clique", no_search)
+    wide = tmp_path / "wide.txt"
+    wide.write_text("ramsey-coloring 1\nn=2 colors=1000000000000\n1\n")
+    assert len(wide.read_bytes()) == 45
+    over = tmp_path / "over.txt"
+    over.write_text("ramsey-coloring 1\nn=2 colors=5000001\n1\n")
+    for path, k in ((wide, 10**12), (over, 5000001)):
+        for extra in ((), ("--csv",)):
+            start = time.perf_counter()
+            assert run("verify", "--coloring", str(path), "--target", "3", *extra) == 3
+            assert time.perf_counter() - start < 1
+            assert capsys.readouterr() == (
+                "", f"error: {k} colors on 2 vertices exceed the cap of 10000000\n"
+            )
+    # at the cap, the first color is searched
+    at = tmp_path / "at.txt"
+    at.write_text("ramsey-coloring 1\nn=2 colors=5000000\n1\n")
+    with pytest.raises(AssertionError, match="searched a color"):
+        run("verify", "--coloring", str(at), "--target", "3")
+
+
 def test_two_color_subcommand(tmp_path):
     out = tmp_path / "tc.txt"
     assert run("construct-two-color", "--t", "3", "--n", "10", "--out", str(out)) == 0
@@ -409,7 +450,7 @@ def assert_verify_is_plain_search(path, col, capsys):
         assert (rc, capsys.readouterr().out) == verify_by_plain_search(col, target)
 
 
-def test_verify_checks_the_gram_bound_once_and_only_when_reached(tmp_path, monkeypatch, capsys):
+def test_verify_checks_the_gram_bound_once_per_run(tmp_path, monkeypatch, capsys):
     calls = []
     real = cli._products_match
 
@@ -419,13 +460,16 @@ def test_verify_checks_the_gram_bound_once_and_only_when_reached(tmp_path, monke
 
     monkeypatch.setattr(cli, "_products_match", spy)
     # Colors 1 and 2 of (3,4,33) reach t = 4; colors 1-4 of (5,4,145) reach
-    # t - 1 = 3, as 1 * 3 * (-1)^3 = 2 is not a square mod 5.
+    # t - 1 = 3, as 1 * 3 * (-1)^3 = 2 is not a square mod 5.  Colors 1 and
+    # 2 of (3,4,8) stop at 2, below their bound 4, and are checked all the
+    # same: trust is decided once per file, before the first search.
     # assert_verify_is_plain_search runs verify twice.
-    for args, checks in [((3, 4, 33, 1), 2), ((2, 7, 60, 1), 2), ((5, 4, 145, 1), 2)]:
+    for args in [(3, 4, 33, 1), (2, 7, 60, 1), (5, 4, 145, 1), (3, 4, 8, 1)]:
         col = construct_file(tmp_path, *args)
         calls.clear()
         assert_verify_is_plain_search(tmp_path / "c-{}-{}-{}-{}.txt".format(*args), col, capsys)
-        assert calls == [args] * checks
+        assert calls == [args] * 2
+    assert [max_monochromatic_clique(col, c).size for c in (1, 2)] == [2, 2]
 
 
 def edge_color(col, i, j):
@@ -505,10 +549,21 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
         assert_verify_is_plain_search(path, edited, capsys)
 
 
+def reference_sample(q, t, n, seed):
+    """construct's parameters and vertices as sample_distinct draws them
+    from the enumerated ground set, under construct's checks in its order."""
+    _check_pairs(n)
+    _check_enumeration_cap(q, t, cli.DEFAULT_ENUM_CAP)
+    modulus = PrimeModulus(q)
+    ground = enumerate_isotropic(modulus, t, cap=cli.DEFAULT_ENUM_CAP)
+    verts = sample_distinct(ground, n, make_rng(derive_seed(seed, "construct-sample")))
+    return ConstructionParams(modulus, t, seed, n), verts
+
+
 def per_pair_products_match(coloring, q, t, n, seed):
     """The trust check's rule read pair by pair: a color c below q is the
     product of its edge's two sampled vectors."""
-    _, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+    _, verts = reference_sample(q, t, n, seed)
     return all(
         c >= q or c == dot(verts[i], verts[j])
         for i, row in enumerate(coloring.rows)
@@ -522,7 +577,7 @@ def test_trust_check_agrees_with_the_per_pair_rule():
     rng = random.Random(21)
     for q, t, n in ((3, 4, 20), (5, 4, 30), (2, 9, 40), (7, 3, 25), (11, 3, 30), (17, 2, 25)):
         for seed in (1, 2):
-            params, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+            params, verts = reference_sample(q, t, n, seed)
             col = build_field_coloring(params, verts)
             named = field_provenance(col)
             assert cli._products_match(col, *named) and per_pair_products_match(col, *named)
@@ -548,14 +603,21 @@ def test_trust_check_agrees_with_the_per_pair_rule():
 
 
 def reference_products_match(coloring, q, t, n, seed):
-    """The trust check on construct's own sample: the enumerated ground
-    set, sample_distinct and the checks of _construct_sample, then the
-    per-pair rule; no wherever the sampling raises."""
+    """The trust check on reference_sample's draw: the per-pair rule, and
+    no wherever the sampling raises."""
     try:
-        cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+        reference_sample(q, t, n, seed)
     except RamseyLBError:
         return False
     return per_pair_products_match(coloring, q, t, n, seed)
+
+
+def sample_outcome(sample, q, t, n, seed):
+    """A draw's parameters and vertices, or its error's type and message."""
+    try:
+        return sample(q, t, n, seed)
+    except RamseyLBError as exc:
+        return type(exc), str(exc)
 
 
 def positional_coloring(q, t, n, seed):
@@ -587,10 +649,20 @@ def test_trust_check_by_position_agrees_with_the_enumerated_sample():
         t = rng.randint(1, 4 if q < 11 else 3)
         size = _isotropic_count(q, t) if q in (2, 3, 5, 7, 11, 13) else q**t
         cases.append((q, t, rng.randint(1, min(size + 2, 40)), rng.randrange(2**64)))
+
+    def construct_sample(q, t, n, seed):
+        params, coords = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+        return params, [FieldVector(params.modulus, c) for c in coords]
+
+    # construct's draw is sample_distinct's over the enumerated ground set,
+    # and its refusals are the same, in the same order; n = -1 and 0 too
+    for q, t, n, seed in cases + [(3, 4, -1, 1), (3, 4, 0, 1), (4, 3, -1, 1)]:
+        want = sample_outcome(reference_sample, q, t, n, seed)
+        assert sample_outcome(construct_sample, q, t, n, seed) == want, (q, t, n, seed)
     raised = matched = 0
     for q, t, n, seed in cases:
         try:
-            params, verts = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+            params, verts = construct_sample(q, t, n, seed)
         except RamseyLBError:
             raised += 1
             col = positional_coloring(q, t, n, seed) if (q, t, n, seed) in drawable else \

@@ -686,12 +686,15 @@ def test_potential_cliques_node_cap():
 @pytest.mark.parametrize("cap", [0, -5])
 def test_listing_caps_below_one_are_parameter_errors(cap):
     """_k_cliques checks the cap for both of its public callers; they
-    used to raise ResourceCapError ("exceeded -5 nodes")."""
+    used to raise ResourceCapError ("exceeded -5 nodes").  The maximum
+    search checks its own."""
     ground = enumerate_isotropic(M3, 4)
     with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
         enumerate_potential_cliques(ground, 4, cap=cap)
     with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
         monochromatic_cliques(build_paley(5), 2, cap=cap)
+    with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
+        max_monochromatic_clique(build_paley(5), 1, cap=cap)
 
 
 @pytest.mark.parametrize("size", [0, -1])
@@ -784,7 +787,8 @@ def test_gram_bound_is_each_deterministic_class_clique_number():
 
 def construct_coloring(q, t, n, seed):
     """The coloring the construct subcommand writes for these arguments."""
-    return build_field_coloring(*_construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP))
+    params, coords = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
+    return build_field_coloring(params, [FieldVector(params.modulus, c) for c in coords])
 
 
 def test_search_stopped_at_t_returns_the_full_search_witness():

@@ -409,6 +409,8 @@ def test_file_format_rejects_malformed():
         good[:-3] + "9\n",  # out-of-range color
         good + "1 1\n",  # trailing junk
         good.replace("n=5", "n=" + "5" * 5000),  # more digits than int() reads
+        "ramsey-coloring 1\n",  # the magic line alone
+        "ramsey-coloring 1",
     ]
     for text in cases:
         with pytest.raises(FormatError):

@@ -106,6 +106,20 @@ def test_from_text_tests_its_modulus_for_primality_once(monkeypatch):
     assert tested == [9]
 
 
+@pytest.mark.parametrize("line, message", [
+    ("", "vector line needs q, t and coordinates: ''"),
+    ("7 1", "vector line needs q, t and coordinates: '7 1'"),
+    ("7 2 1 x", "non-integer token in vector line: '7 2 1 x'"),
+    ("7 3 1 6", "vector line declares t=3 but has 2 coordinates"),
+    ("7 2 1 7", "vector coordinate outside [0, 7): '7 2 1 7'"),
+    ("7 2 -1 0", "vector coordinate outside [0, 7): '7 2 -1 0'"),
+])
+def test_from_text_rejects_malformed_lines(line, message):
+    with pytest.raises(FormatError) as exc:
+        FieldVector.from_text(line)
+    assert str(exc.value) == message
+
+
 def test_dot_examples():
     # zero vector
     assert dot(fv(M3, 0, 0, 0, 0), fv(M3, 1, 2, 1, 0)) == 0

@@ -99,6 +99,8 @@ def test_sample_distinct_properties():
     assert picked == sample_distinct(vs, 10, make_rng(9))
     with pytest.raises(CapacityError):
         sample_distinct(vs, 34, make_rng(9))
+    with pytest.raises(ParameterError, match="^sample size must be non-negative$"):
+        sample_distinct(vs, -1, make_rng(9))
 
 
 def test_bernoulli_subset_edges_and_determinism():

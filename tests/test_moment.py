@@ -77,6 +77,12 @@ def test_moment_estimators_reject_a_probability_that_is_not_finite(p):
         monte_carlo_mono_count(2, 4, 10, p, seed=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_needs_a_trial(trials):
+    with pytest.raises(ParameterError, match="^need at least one trial$"):
+        monte_carlo_mono_count(3, 4, trials, Fraction(1, 2), seed=1)
+
+
 def test_seeds_that_are_not_ints_are_parameter_errors():
     with pytest.raises(ParameterError):
         monte_carlo_mono_count(3, 4, 5, Fraction(1, 2), seed=1.0)
@@ -794,6 +800,19 @@ def test_certificate_header_bounds_the_vectors_before_they_are_parsed(fixture_ce
         certificate_from_text(slow)
     assert time.perf_counter() - start < 0.1
     assert 100000000000031 not in tested
+
+
+def test_a_certificate_block_must_agree_with_its_header(fixture_certificate):
+    """The canonical round trip renders the block from the parsed
+    coloring, so it alone would accept a block of another n or palette."""
+    cert = fixture_certificate
+    text = certificate_to_text(cert)
+    for block in (cert.coloring.induced(range(cert.n - 1)), replace(cert.coloring, num_colors=cert.q + 2)):
+        bad = certificate_to_text(replace(cert, coloring=block))
+        assert bad != text and bad.split("coloring:\n")[0] == text.split("coloring:\n")[0]
+        with pytest.raises(FormatError, match="^embedded coloring disagrees with the certificate header$"):
+            certificate_from_text(bad)
+        assert not reverify_text(bad)
 
 
 def test_a_certificate_parse_tests_its_modulus_for_primality_once(fixture_certificate, monkeypatch):

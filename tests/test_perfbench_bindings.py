@@ -2,20 +2,29 @@
 them.  A binding that moves or disappears would make its metric read 0,
 so every one of them must resolve."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import ramseylb.cliques
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PACKAGE = Path(ramseylb.cliques.__file__).resolve().parent
 
 
-def test_every_traced_binding_resolves(monkeypatch):
+@pytest.fixture
+def spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_binding_resolves(spans):
     rank = ramseylb.cliques.rank
     tracer = spans.Tracer()
     tracer.install()  # raises TargetMissing before it wraps anything
@@ -25,3 +34,30 @@ def test_every_traced_binding_resolves(monkeypatch):
     finally:
         tracer.uninstall()
     assert ramseylb.cliques.rank is rank
+
+
+def unused_imports(path):
+    """The names a module imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unused_import_is_a_traced_binding(spans):
+    """A name a module imports but never calls is kept only so that the
+    tracer can wrap it there."""
+    traced = {(t.owner, t.attr) for t in spans.TARGETS}
+    unused = {
+        (f"ramseylb.{path.stem}", name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        for name in unused_imports(path)
+    }
+    assert ("ramseylb.cli", "sample_distinct") in unused
+    assert unused <= traced, unused - traced

@@ -30,7 +30,7 @@ def test_seeds_that_are_not_ints_are_rejected(seed):
         derive_seed(seed, "x")
     with pytest.raises(ParameterError):
         make_rng(seed)
-    # A cached coin state for the int 1 must not answer for the float 1.0.
+    # The kept coin state for the int 1 must not answer for the float 1.0.
     pair_coin(1, "a|b")
     with pytest.raises(ParameterError):
         pair_coin(seed, "a|b")
@@ -50,8 +50,8 @@ def reference_pair_coin(seed, identity):
 
 
 def test_pair_coin_matches_a_fresh_keyed_hash():
-    """Seeds come back after more distinct seeds than the cache holds, so
-    both cached and rebuilt states are compared, each on many identities."""
+    """Seeds come back after other seeds, so both kept and rebuilt keyed
+    states are compared, each on many identities."""
     seeds = [0, 1, 2**64 - 1] + [derive_seed(7, "other", k) for k in range(6)]
     identities = [f"{i % 11} {i // 11}|{i * 31 % 997} 2" for i in range(900)]
     assert len(set(identities)) == 900
@@ -59,13 +59,18 @@ def test_pair_coin_matches_a_fresh_keyed_hash():
         for seed in seeds:
             for ident in identities:
                 assert pair_coin(seed, ident) == reference_pair_coin(seed, ident)
-    assert rng._coin_state.cache_info().currsize <= 4
+    # The module holds one keyed state, the last seed's, and no cache.
+    last, state = rng._last_coin
+    assert last is seeds[-1]
+    assert state.digest() == hashlib.blake2b(
+        digest_size=1, key=last.to_bytes(8, "big"), person=b"rlb-coin"
+    ).digest()
+    assert not any(hasattr(v, "cache_info") for v in vars(rng).values())
 
 
 def test_pair_coin_under_seeds_that_alternate_call_by_call():
-    """Each call takes another seed than the last one, cycling through
-    more seeds than the cache holds, so no call reuses the last seed's
-    keyed state."""
+    """Each call takes another seed than the last one, so no call reuses
+    the last seed's keyed state."""
     seeds = [0, 1, 2**64 - 1] + [derive_seed(9, "alternate", k) for k in range(5)]
     for i in range(400):
         ident = f"{i % 7} {i // 7}|{i * 13 % 101} 1"
