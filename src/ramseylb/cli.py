@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
+from .cliques import DEFAULT_NODE_CAP, clique_gram_det, max_monochromatic_clique
 from .coloring import (
     MAX_PAIRS,
     ConstructionParams,
@@ -119,11 +119,12 @@ def _cmd_construct_paley(args) -> int:
 def _gram_bound(q: int, t: int, color: int) -> int:
     """The clique bound of a deterministic color of a field coloring at
     (q, t) (see max_monochromatic_clique): t - 1 when q is odd and the
-    determinant of a t-clique's Gram matrix, color^t (-1)^(t-1) (t - 1),
-    is a nonzero non-square mod q by Euler's criterion; t otherwise."""
-    d = pow(color, t, q) * (t - 1) * (1 if t % 2 else -1) % q
-    if q > 2 and d and pow(d, (q - 1) // 2, q) == q - 1:
-        return t - 1
+    determinant of a t-clique's Gram matrix is a nonzero non-square mod q
+    by Euler's criterion; t otherwise."""
+    if q > 2:
+        d = clique_gram_det(color, t, PrimeModulus(q))
+        if d and pow(d, (q - 1) // 2, q) == q - 1:
+            return t - 1
     return t
 
 
@@ -175,8 +176,10 @@ def _cmd_verify(args) -> int:
         raise ResourceCapError(f"{k} colors on {n} vertices exceed the cap of {MAX_PAIRS}")
     # The search of a deterministic color of a construct file stops at its
     # Gram bound, t or t - 1, once the file's colors are checked against
-    # the re-sampled vectors; any other file gets the plain search.
-    trusted = named is not None and _products_match(coloring, *named)
+    # the re-sampled vectors; any other file gets the plain search.  A
+    # search over n vertices never reaches a bound above n, so the check
+    # runs only when t - 1 <= n.
+    trusted = named is not None and named[1] - 1 <= n and _products_match(coloring, *named)
     found = False
     if args.csv:
         print("color,size,witness")

@@ -30,7 +30,6 @@ from .field import FieldVector, PrimeModulus, _eliminate, _scalar_products, dot,
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
-_TWIN_AFTER = 8
 
 
 @dataclass(frozen=True)
@@ -130,22 +129,16 @@ def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
     best_size = 0
     best_mask = 0
     visited = 0
-    # Twins are looked for once, when the search outlasts _TWIN_AFTER
-    # nodes, so that the short searches of witness sizes never pay for it.
-    twins = None
-    limit = cap if cap < _TWIN_AFTER else _TWIN_AFTER
+    twins = _false_twins(adj)
 
     # Complemented adjacency, indexed by a vertex's bit_length (v + 1).
     non_adj = [0] + [~a for a in adj]
 
     def expand(size: int, mask: int, cand: int) -> None:
-        nonlocal best_size, best_mask, visited, twins, limit
+        nonlocal best_size, best_mask, visited
         visited += 1
-        if visited > limit:
-            if visited > cap:
-                raise ResourceCapError(f"clique search exceeded {cap} nodes")
-            twins = _false_twins(adj)
-            limit = cap
+        if visited > cap:
+            raise ResourceCapError(f"clique search exceeded {cap} nodes")
         # Greedy coloring of the candidates, one class at a time: class k
         # takes, in ascending index, each still-uncolored candidate with
         # no neighbour already in class k.  These are exactly the classes
@@ -315,21 +308,6 @@ def _has_clique(adj: list[int], k: int, cap: int) -> bool:
         return False
 
     return rec((1 << len(adj)) - 1, k)
-
-
-def monochromatic_cliques(
-    coloring: EdgeColoring, size: int, cap: int = DEFAULT_NODE_CAP
-) -> list[CliqueWitness]:
-    """Every monochromatic clique of exactly the given size, by color and
-    then in lexicographic order.  Each color's listing is capped at cap
-    search nodes."""
-    return [
-        CliqueWitness(color, verts)
-        for color in range(1, coloring.num_colors + 1)
-        for verts in _k_cliques(
-            coloring.color_class_bitsets(color), size, cap, "monochromatic clique listing"
-        )
-    ]
 
 
 def clique_gram_det(i: int, s: int, modulus: PrimeModulus) -> int:

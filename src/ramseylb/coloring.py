@@ -231,6 +231,8 @@ class ConstructionParams:
 
 
 def _check_construction(q: int, t: int, n: int) -> None:
+    if type(t) is not int or type(n) is not int:
+        raise ParameterError(f"dimension t={t!r} and vertex count n={n!r} must be ints")
     if t < 1 or t % q == 0:
         raise ParameterError(f"dimension t={t} must be nonzero mod q={q}")
     if n < 2:

@@ -50,6 +50,8 @@ def _check_enumeration_cap(q: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     growing as sqrt(q), and leave a q that is not an int above 1 to
     PrimeModulus.  q^t >= 2^t is over the cap once t passes the cap's bit
     length; the power is then not computed, and no message writes it out."""
+    if type(t) is not int or type(cap) is not int:
+        raise ParameterError(f"dimension t={t!r} and enumeration cap {cap!r} must be ints")
     if t < 1:
         raise ParameterError("dimension t must be positive")
     if cap < 1:

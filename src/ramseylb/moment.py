@@ -30,10 +30,10 @@ from .bounds import SlackLike, as_slack, floor_power_product
 from .cliques import (  # noqa: F401
     DEFAULT_NODE_CAP,
     _has_clique,
+    _k_cliques,
     _orthogonal_tuples,
     enumerate_potential_cliques,
     max_monochromatic_clique,
-    monochromatic_cliques,
 )
 from .coloring import (
     _INT, _UNDIGITS, ConstructionParams, EdgeColoring, _check_construction, _check_pairs, _field_line,
@@ -398,7 +398,7 @@ def _witness_ground(q: int, t: int) -> IsotropicSet:
 
 
 def _run_attempt(
-    q: int, t: int, ground: IsotropicSet, n: int, seed: int, attempt: int, node_cap: int
+    ground: IsotropicSet, n: int, seed: int, attempt: int, node_cap: int
 ) -> WitnessCertificate | AttemptFailure:
     """One attempt: sample, color, then delete one vertex from every
     monochromatic K_t (the alteration step of the first-moment argument).
@@ -412,17 +412,21 @@ def _run_attempt(
     the coloring build_field_coloring gives them under the attempt's
     seed, which is what reverify rebuilds.
     """
+    q, t = ground.modulus.q, ground.dimension
     sk = attempt_seed(seed, attempt)
     m = min(len(ground), 2 * n)
     sample = sample_distinct(ground, m, make_rng(sk))
     col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m), sample)
-    cliques = monochromatic_cliques(col, t, node_cap)
-    masks = [sum(1 << v for v in c.vertices) for c in cliques]
-    deleted = _hitting_set(masks, m - n, node_cap)
+    listed = [
+        (c, sum(1 << v for v in verts))
+        for c in range(1, q + 2)
+        for verts in _k_cliques(col.color_class_bitsets(c), t, node_cap, "monochromatic clique listing")
+    ]
+    deleted = _hitting_set([mask for _, mask in listed], m - n, node_cap)
     if deleted is None:
         # Deleting every vertex after the first n would have met every
         # clique, so one of them lies within the first n.
-        color = min(c.color for c in cliques if c.vertices[-1] < n)
+        color = min(c for c, mask in listed if mask < 1 << n)
         size = max_monochromatic_clique(col.induced(range(n)), color, node_cap).size
         return AttemptFailure(attempt, color, size)
     keep = [i for i in range(m) if not deleted >> i & 1][:n]
@@ -433,7 +437,7 @@ def _run_attempt(
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col, sizes, "pass")
 
 
-def _pooled_attempts(q, t, ground, n, seed, attempts, workers, node_cap):
+def _pooled_attempts(ground, n, seed, attempts, workers, node_cap):
     """Outcomes of the attempt indices in ``attempts``, in order, run
     ``workers`` at a time in as many worker processes.
 
@@ -447,7 +451,7 @@ def _pooled_attempts(q, t, ground, n, seed, attempts, workers, node_cap):
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for start in range(0, len(attempts), workers):
             futures = [
-                pool.submit(_run_attempt, q, t, ground, n, seed, k, node_cap)
+                pool.submit(_run_attempt, ground, n, seed, k, node_cap)
                 for k in attempts[start : start + workers]
             ]
             for fut in futures:
@@ -504,10 +508,10 @@ def find_witness(
     later = range(2, max_attempts + 1)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        rest = (_run_attempt(q, t, ground, n, seed, k, node_cap) for k in later)
+        rest = (_run_attempt(ground, n, seed, k, node_cap) for k in later)
     else:
-        rest = _pooled_attempts(q, t, ground, n, seed, later, workers, node_cap)
-    outcomes = itertools.chain([_run_attempt(q, t, ground, n, seed, 1, node_cap)], rest)
+        rest = _pooled_attempts(ground, n, seed, later, workers, node_cap)
+    outcomes = itertools.chain([_run_attempt(ground, n, seed, 1, node_cap)], rest)
     failures: list[AttemptFailure] = []
     for outcome in outcomes:
         if isinstance(outcome, WitnessCertificate):

@@ -472,6 +472,28 @@ def test_verify_checks_the_gram_bound_once_per_run(tmp_path, monkeypatch, capsys
     assert [max_monochromatic_clique(col, c).size for c in (1, 2)] == [2, 2]
 
 
+def test_verify_checks_trust_only_where_a_search_can_reach_a_gram_bound(tmp_path, monkeypatch, capsys):
+    """Every Gram bound is t - 1 or t, and a search over n vertices cannot
+    reach a bound above n, so no products are checked when n < t - 1.
+    At (2,19,2) that check alone listed 2^18 tuples."""
+    calls = []
+    monkeypatch.setattr(cli, "_products_match", lambda coloring, *args: calls.append(args) or False)
+    four = tmp_path / "four.txt"
+    four.write_text("ramsey-coloring 1\nn=2 colors=3\n# field-coloring q=2 t=19 n=2 seed=1\n1\n")
+    capsys.readouterr()
+    assert run("verify", "--coloring", str(four), "--target", "2") == 1
+    assert capsys.readouterr().out == (
+        "color 1: max clique 2, witness 0 1\ncolor 2: max clique 1, witness 1\n"
+        "color 3: max clique 1, witness 1\nmonochromatic clique of size >= 2: found\n"
+    )
+    assert calls == []
+    for n, checks in ((2, []), (3, [(3, 4, 3, 1)])):
+        construct_file(tmp_path, 3, 4, n, 1)
+        calls.clear()
+        run("verify", "--coloring", str(tmp_path / f"c-3-4-{n}-1.txt"), "--target", "3")
+        assert calls == checks
+
+
 def edge_color(col, i, j):
     a, b = min(i, j), max(i, j)
     return col.rows[a][b - a - 1]

@@ -22,7 +22,6 @@ from ramseylb.cliques import (
     clique_gram_det,
     enumerate_potential_cliques,
     max_monochromatic_clique,
-    monochromatic_cliques,
     rank_count_bound,
 )
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
@@ -307,12 +306,22 @@ def test_false_twin_cut_on_the_paley_product():
     copy's 13 vertices are false twins there."""
     paley = build_paley(13)
     product = blowup_product(paley, paley)
-    for color, before, after in ((1, 54, 12), (2, 392, 14)):
+    for color, before, after in ((1, 54, 6), (2, 392, 8)):
         adj = smallest_last(product.color_class_bitsets(color))
         mask, nodes = reference_bbmc_mask(adj)
         assert nodes == before
         assert _max_clique_mask(adj, after) == mask
         assert search_nodes(adj, nodes) == after
+
+
+def test_false_twins_are_cut_from_the_root():
+    """Twins are found before the first node, so a search of a few nodes
+    cuts too: vertices 3 and 4 both have the neighbours 0 and 2."""
+    adj = [0b11000, 0b00100, 0b11010, 0b00101, 0b00101]
+    mask, nodes = reference_bbmc_mask(adj)
+    assert nodes == 3
+    assert _max_clique_mask(adj, 2) == mask
+    assert search_nodes(adj, nodes) == 2
 
 
 def reference_degeneracy_order(adj, n):
@@ -421,15 +430,16 @@ def test_monochromatic_cliques_match_subset_listing():
     # the whole (3, 4) ground set carries 4-cliques in every color
     ground = enumerate_isotropic(M3, 4).vectors
     col = build_field_coloring(ConstructionParams(M3, 4, 7, len(ground)), ground)
-    listed = monochromatic_cliques(col, 4)
+    listed = [(color, verts) for color in range(1, 5)
+              for verts in _k_cliques(col.color_class_bitsets(color), 4, DEFAULT_NODE_CAP, "x")]
     expected = []
     for color in range(1, 5):
         for sub in itertools.combinations(range(col.n), 4):
             if all(edge_color(col, a, b) == color for a, b in itertools.combinations(sub, 2)):
                 expected.append((color, sub))
-    assert [(w.color, w.vertices) for w in listed] == expected
+    assert listed == expected
     with pytest.raises(ResourceCapError):
-        monochromatic_cliques(col, 4, cap=10)
+        _k_cliques(col.color_class_bitsets(1), 4, 10, "x")
 
 
 def reference_k_cliques(adj, k):
@@ -685,28 +695,22 @@ def test_potential_cliques_node_cap():
 
 @pytest.mark.parametrize("cap", [0, -5])
 def test_listing_caps_below_one_are_parameter_errors(cap):
-    """_k_cliques checks the cap for both of its public callers; they
-    used to raise ResourceCapError ("exceeded -5 nodes").  The maximum
-    search checks its own."""
+    """_k_cliques checks the cap for its public caller; it used to raise
+    ResourceCapError ("exceeded -5 nodes").  The maximum search checks
+    its own."""
     ground = enumerate_isotropic(M3, 4)
     with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
         enumerate_potential_cliques(ground, 4, cap=cap)
-    with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
-        monochromatic_cliques(build_paley(5), 2, cap=cap)
     with pytest.raises(ParameterError, match=f"node cap {cap} must be positive"):
         max_monochromatic_clique(build_paley(5), 1, cap=cap)
 
 
 @pytest.mark.parametrize("size", [0, -1])
 def test_listing_sizes_below_one_are_parameter_errors(size):
-    """_k_cliques checks the size for both of its public callers, before
-    the cap; a monochromatic listing at size 0 used to give one empty
-    clique per color, and at a negative size nothing."""
+    """_k_cliques checks the size for its public caller, before the cap."""
     ground = enumerate_isotropic(M3, 4)
-    for call in (lambda: enumerate_potential_cliques(ground, size, cap=0),
-                 lambda: monochromatic_cliques(build_paley(5), size)):
-        with pytest.raises(ParameterError, match="clique size must be positive"):
-            call()
+    with pytest.raises(ParameterError, match="clique size must be positive"):
+        enumerate_potential_cliques(ground, size, cap=0)
 
 
 # ---------------------------------------------------------------------------

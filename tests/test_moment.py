@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylb import coloring, field, moment
-from ramseylb.cliques import enumerate_potential_cliques, max_monochromatic_clique
+from ramseylb.cliques import DEFAULT_NODE_CAP, _k_cliques, enumerate_potential_cliques, max_monochromatic_clique
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot
@@ -88,6 +88,22 @@ def test_seeds_that_are_not_ints_are_parameter_errors():
         monte_carlo_mono_count(3, 4, 5, Fraction(1, 2), seed=1.0)
     with pytest.raises(ParameterError):
         find_witness(3, 4, 14, 1, seed=1.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_witness(3, 4.0, 14, 1, 1),
+    lambda: find_witness(3, 4, 14.0, 1, 1),
+    lambda: enumerate_isotropic(PrimeModulus(3), 4.0),
+    lambda: enumerate_isotropic(PrimeModulus(3), 4, cap=1e6),
+    lambda: monte_carlo_mono_count(3, 4.0, 1, Fraction(1, 2), 1),
+    lambda: exact_mono_expectation(2, 2.0, Fraction(1, 2)),
+    lambda: ConstructionParams(PrimeModulus(3), 4.0, 1, 2),
+], ids=["witness-t", "witness-n", "enumerate-t", "enumerate-cap", "monte-carlo-t", "exact-t", "params-t"])
+def test_a_t_n_or_cap_that_is_not_an_int_is_a_parameter_error(call):
+    """These used to escape as TypeError or AttributeError, or, for the
+    parameters, to write a provenance line reading t=4.0."""
+    with pytest.raises(ParameterError, match="must be ints"):
+        call()
 
 
 def test_moment_estimators_need_t_at_least_two():
@@ -405,6 +421,32 @@ def test_find_witness_failure_reports_diagnostics():
         assert f.clique_size >= 4
 
 
+def test_a_failed_attempt_names_the_lowest_color_with_a_clique_in_its_first_n():
+    """By brute force over the t-subsets of each failed attempt's first n
+    sampled vertices: the reported color is the lowest one with a
+    monochromatic K_t there.  At (13,2,10), seed 5, attempt 1, every
+    edge of color 1 has an end past the first 10 vertices."""
+    failures = several = 0
+    for q, t, n in ((3, 4, 24), (13, 2, 10)):
+        ground = moment._witness_ground(q, t)
+        m = min(len(ground), 2 * n)
+        for seed in range(1, 11):
+            result = find_witness(q, t, n, 3, seed)
+            for f in getattr(result, "failures", ()):
+                sk = attempt_seed(seed, f.attempt)
+                col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m),
+                                           moment.sample_distinct(ground, m, make_rng(sk)))
+                colors = set()
+                for sub in itertools.combinations(range(n), t):
+                    pair_colors = {col.rows[a][b - a - 1] for a, b in itertools.combinations(sub, 2)}
+                    if len(pair_colors) == 1:
+                        colors |= pair_colors
+                assert f.color == min(colors)
+                failures += 1
+                several += len(colors) > 1
+    assert failures >= 40 and several
+
+
 def test_find_witness_validation():
     with pytest.raises(ParameterError):
         find_witness(2, 4, 4, 5, seed=0)  # t = 0 mod q
@@ -607,7 +649,8 @@ def attempt_cliques(n, seed, attempt):
     m = min(len(ground), 2 * n)
     col = build_field_coloring(ConstructionParams(ground.modulus, 4, sk, m),
                                moment.sample_distinct(ground, m, make_rng(sk)))
-    return [sum(1 << v for v in c.vertices) for c in moment.monochromatic_cliques(col, 4)], m - n
+    return [sum(1 << v for v in verts) for c in range(1, 5)
+            for verts in _k_cliques(col.color_class_bitsets(c), 4, DEFAULT_NODE_CAP, "x")], m - n
 
 
 def test_hitting_set_on_incidence_masks_matches_the_list_search():

@@ -61,3 +61,31 @@ def test_every_unused_import_is_a_traced_binding(spans):
     }
     assert ("ramseylb.cli", "sample_distinct") in unused
     assert unused <= traced, unused - traced
+
+
+def reads(path):
+    """Per top-level statement of a module, the names and attributes it
+    reads."""
+    return [
+        {n.id if isinstance(n, ast.Name) else n.attr
+         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+        for stmt in ast.parse(path.read_text()).body
+    ]
+
+
+def test_every_public_definition_has_a_reader_outside_the_tests():
+    """Each public top-level function or class of the package is read
+    somewhere in the package, outside its own definition, or in
+    perfbench.  Criteria 03 and 06 pin the two exceptions."""
+    files = sorted(PACKAGE.glob("*.py")) + sorted(SPANS.parent.glob("*.py"))
+    read_by = {path: reads(path) for path in files}
+    unread = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for i, stmt in enumerate(ast.parse(path.read_text()).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                if not any(stmt.name in names for other, per_stmt in read_by.items()
+                           for j, names in enumerate(per_stmt) if (other, j) != (path, i)):
+                    unread.add(stmt.name)
+    assert unread <= {"rank_count_bound", "recommended_n"}, unread
