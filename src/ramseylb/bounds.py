@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError, ResourceCapError, _require_ints
 from .field import is_prime
 
 SlackLike = Union[int, float, str, Fraction]
@@ -139,6 +139,7 @@ def _record(t: int, colors: int, tag: str, factors: list[tuple[int, Fraction]]) 
 
 def baseline_bound(t: int, colors: int) -> BoundRecord:
     """Classical bound for the given color count, composed per colors mod 3."""
+    _require_ints(t=t, colors=colors)
     if t < 1:
         raise ParameterError("t must be positive")
     if colors < 2:
@@ -159,6 +160,7 @@ def baseline_bound(t: int, colors: int) -> BoundRecord:
 
 def new_bound(t: int, colors: int, slack: SlackLike = 0) -> BoundRecord:
     """Improved bound family; slack stands in for the lower-order term."""
+    _require_ints(t=t, colors=colors)
     if t < 1:
         raise ParameterError("t must be positive")
     if colors < 3:
@@ -178,6 +180,7 @@ def new_bound(t: int, colors: int, slack: SlackLike = 0) -> BoundRecord:
 
 def field_bound(t: int, q: int, slack: SlackLike = 0) -> BoundRecord:
     """Direct bound 2^(t/2) q^(3t/8 + slack) for q+1 colors, q prime."""
+    _require_ints(t=t, q=q)
     if not is_prime(q):
         raise ParameterError(f"{q} is not prime")
     if t < 1:

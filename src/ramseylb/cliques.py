@@ -1,9 +1,11 @@
 """Exact monochromatic clique search and structural certificates.
 
 The clique solver is a deterministic branch-and-bound over bitset
-adjacency: vertices are relabeled by a minimum-degree peeling order,
-candidates at every node are greedily colored, and branches whose color
-bound cannot beat the incumbent are cut.  No heuristic shortcuts: the
+adjacency: candidates at every node are greedily colored, and branches
+whose color bound cannot beat the incumbent are cut.  A witness search
+first relabels the vertices by a minimum-degree peeling order; a search
+for the clique number alone runs in the given order, as the size of a
+maximum clique does not depend on it.  No heuristic shortcuts: the
 returned witness is a true maximum clique, and a node cap turns runaway
 searches into an explicit error rather than a silent truncation.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, FormatError, ParameterError, ResourceCapError
+from .errors import CapacityError, FormatError, ParameterError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 from .isotropic import IsotropicSet
 from .rng import derive_seed, make_rng, pair_coin
@@ -321,6 +321,7 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     The vertices are n distinct coordinate tuples, rejection-sampled
     uniformly from the whole space, with no self-orthogonality filter.
     """
+    _require_ints(t=t, n=n)
     length = 2 * t
     if length < 1:
         raise ParameterError("vector length must be positive")
@@ -348,6 +349,7 @@ def build_paley(p: int) -> EdgeColoring:
     Requires p = 1 mod 4 so that -1 is a residue and adjacency is
     symmetric.
     """
+    _require_ints(p=p)
     _check_pairs(p)
     if not is_prime(p):
         raise ParameterError(f"{p} is not prime")

@@ -27,3 +27,12 @@ class FormatError(ParameterError):
 
 class ResourceCapError(RamseyLBError):
     """An explicit enumeration, search node or bound size cap was exceeded."""
+
+
+def _require_ints(**values: object) -> None:
+    """Raise ParameterError for the first value that is not exactly an
+    int; a float, a Fraction or a bool is refused before any check or
+    arithmetic reads it."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise ParameterError(f"{name}={value!r} must be an int")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
-from .errors import CapacityError, DimensionError, ParameterError, ResourceCapError
+from .errors import CapacityError, DimensionError, ParameterError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, is_isotropic
 
 DEFAULT_ENUM_CAP = 10**6
@@ -90,6 +90,7 @@ def enumerate_isotropic(modulus: PrimeModulus, t: int, cap: int = DEFAULT_ENUM_C
 
 def sample_distinct(ground: IsotropicSet, n: int, rng: Random) -> list[FieldVector]:
     """Uniformly random n-subset of the ground set, in sampling order."""
+    _require_ints(n=n)
     if n < 0:
         raise ParameterError("sample size must be non-negative")
     if n > len(ground):

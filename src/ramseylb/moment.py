@@ -25,12 +25,15 @@ from fractions import Fraction
 from typing import Union
 
 from .bounds import SlackLike, as_slack, floor_power_product
-# enumerate_potential_cliques is not called here; it stays bound because
-# perfbench wraps ramseylb.moment.enumerate_potential_cliques.
+# enumerate_potential_cliques and max_monochromatic_clique are not called
+# here; they stay bound because perfbench wraps them as
+# ramseylb.moment.enumerate_potential_cliques and
+# ramseylb.moment.max_monochromatic_clique.
 from .cliques import (  # noqa: F401
     DEFAULT_NODE_CAP,
     _has_clique,
     _k_cliques,
+    _max_clique_mask,
     _orthogonal_tuples,
     enumerate_potential_cliques,
     max_monochromatic_clique,
@@ -39,7 +42,7 @@ from .coloring import (
     _INT, _UNDIGITS, ConstructionParams, EdgeColoring, _check_construction, _check_pairs, _field_line,
     _ints, build_field_coloring, pair_identity,
 )
-from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
+from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, _text_modulus
 from .isotropic import (
     IsotropicSet,
@@ -60,6 +63,7 @@ _SUBSET_CAP = 20
 
 def recommended_n(q: int, t: int, slack: SlackLike = 0) -> int:
     """floor(2^(t/2) * q^(3t/8 + slack)), the target vertex count."""
+    _require_ints(t=t)
     PrimeModulus(q)
     if t < 0:
         raise ParameterError("t must be non-negative")
@@ -212,6 +216,7 @@ def monte_carlo_mono_count(
     Each trial draws a fresh Bernoulli-p subset and a fresh pair-keyed
     coin seed, both derived from (seed, trial index).
     """
+    _require_ints(n_trials=n_trials)
     if n_trials < 1:
         raise ParameterError("need at least one trial")
     ground = _moment_ground(q, t, p)
@@ -397,6 +402,15 @@ def _witness_ground(q: int, t: int) -> IsotropicSet:
     return enumerate_isotropic(PrimeModulus(q), t)
 
 
+def _clique_number(col: EdgeColoring, color: int, node_cap: int) -> int:
+    """The size of a maximum clique of one color class, by the max-clique
+    search in the class's own vertex order.  A maximum clique's size does
+    not depend on that order, so certify, which stores only sizes, skips
+    the smallest-last order and relabel that max_monochromatic_clique
+    pays for so that verify prints a pinned witness."""
+    return _max_clique_mask(col.color_class_bitsets(color), node_cap).bit_count()
+
+
 def _run_attempt(
     ground: IsotropicSet, n: int, seed: int, attempt: int, node_cap: int
 ) -> WitnessCertificate | AttemptFailure:
@@ -427,11 +441,10 @@ def _run_attempt(
         # Deleting every vertex after the first n would have met every
         # clique, so one of them lies within the first n.
         color = min(c for c, mask in listed if mask < 1 << n)
-        size = max_monochromatic_clique(col.induced(range(n)), color, node_cap).size
-        return AttemptFailure(attempt, color, size)
+        return AttemptFailure(attempt, color, _clique_number(col.induced(range(n)), color, node_cap))
     keep = [i for i in range(m) if not deleted >> i & 1][:n]
     kept_col = replace(col.induced(keep), provenance=(_field_line(q, t, n, sk),))
-    sizes = tuple(max_monochromatic_clique(kept_col, c, node_cap).size for c in range(1, q + 2))
+    sizes = tuple(_clique_number(kept_col, c, node_cap) for c in range(1, q + 2))
     assert all(s < t for s in sizes), "deletion left a monochromatic K_t"
     kept = tuple(sample[i] for i in keep)
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col, sizes, "pass")
@@ -481,6 +494,7 @@ def find_witness(
     in the calling process.  The lowest successful attempt index always
     wins, making the outcome identical to a sequential run.
     """
+    _require_ints(max_attempts=max_attempts, jobs=jobs)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
     if jobs < 1:

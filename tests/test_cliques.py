@@ -426,6 +426,25 @@ def test_search_agrees_with_networkx_clique_number(col):
         assert all(edge_color(col, a, b) == color for a, b in itertools.combinations(w.vertices, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_clique_number_does_not_depend_on_the_vertex_order(data):
+    """certify stores the size that _max_clique_mask finds in the class's
+    own order, verify the one it finds after the peeling order and the
+    relabel; a random renaming gives the same size, and so does networkx."""
+    n = data.draw(st.integers(0, 40), label="n")
+    density = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), label="density")
+    adj = random_bitset_graph(random.Random(data.draw(st.integers(0, 2**32), label="seed")), n, density)
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    size = _max_clique_mask(adj, DEFAULT_NODE_CAP).bit_count()
+    for order in (perm, _degeneracy_order(adj, n)):
+        assert _max_clique_mask(_relabel(adj, order), DEFAULT_NODE_CAP).bit_count() == size
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((a, b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1)
+    assert size == (nx.max_weight_clique(g, weight=None)[1] if n else 0)
+
+
 def test_monochromatic_cliques_match_subset_listing():
     # the whole (3, 4) ground set carries 4-cliques in every color
     ground = enumerate_isotropic(M3, 4).vectors

@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramseylb import coloring, field, moment
+from ramseylb import cliques, cli, coloring, field, moment
+from ramseylb.bounds import baseline_bound, field_bound, new_bound
 from ramseylb.cliques import DEFAULT_NODE_CAP, _k_cliques, enumerate_potential_cliques, max_monochromatic_clique
-from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, pair_identity
+from ramseylb.coloring import (
+    ConstructionParams, EdgeColoring, build_field_coloring, build_paley, build_two_color, pair_identity,
+)
 from ramseylb.errors import CapacityError, FormatError, ParameterError, ResourceCapError
 from ramseylb.field import PrimeModulus, dot
-from ramseylb.isotropic import _isotropic_count, bernoulli_subset, enumerate_isotropic
+from ramseylb.isotropic import _isotropic_count, bernoulli_subset, enumerate_isotropic, sample_distinct
 from ramseylb.moment import (
     MonteCarloEstimate,
     WitnessCertificate,
@@ -103,6 +106,29 @@ def test_a_t_n_or_cap_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as TypeError or AttributeError, or, for the
     parameters, to write a provenance line reading t=4.0."""
     with pytest.raises(ParameterError, match="must be ints"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: find_witness(3, 4, 33, 2.0, 1),
+    lambda: find_witness(3, 4, 14, True, 1),
+    lambda: find_witness(3, 4, 14, 1, 1, jobs=2.0),
+    lambda: monte_carlo_mono_count(3, 4, 2.0, 0.5, 1),
+    lambda: sample_distinct(enumerate_isotropic(PrimeModulus(3), 4), 1.0, make_rng(1)),
+    lambda: recommended_n(3, 4.0),
+    lambda: build_two_color(4.0, 5, 1),
+    lambda: build_two_color(4, 5.0, 1),
+    lambda: build_paley(13.0),
+    lambda: baseline_bound(4.0, 3),
+    lambda: new_bound(4, 3.0, 0),
+    lambda: field_bound(4, 3.0),
+], ids=["witness-attempts", "witness-attempts-bool", "witness-jobs", "monte-carlo-trials", "sample-n",
+        "recommended-t", "two-color-t", "two-color-n", "paley-p", "baseline-t", "new-colors", "field-q"])
+def test_a_count_that_is_not_an_int_is_a_parameter_error(call):
+    """These used to escape as TypeError or AttributeError, or to return:
+    a certificate for 2.0 jobs or True attempts, a record for 3.0 colors
+    or a q of 3.0."""
+    with pytest.raises(ParameterError, match="must be an int"):
         call()
 
 
@@ -421,6 +447,16 @@ def test_find_witness_failure_reports_diagnostics():
         assert f.clique_size >= 4
 
 
+def attempt_coloring(q, t, n, seed, attempt):
+    """The coloring of one attempt's m sampled vertices, as _run_attempt
+    builds it."""
+    ground = moment._witness_ground(q, t)
+    sk = attempt_seed(seed, attempt)
+    m = min(len(ground), 2 * n)
+    return build_field_coloring(ConstructionParams(ground.modulus, t, sk, m),
+                                moment.sample_distinct(ground, m, make_rng(sk)))
+
+
 def test_a_failed_attempt_names_the_lowest_color_with_a_clique_in_its_first_n():
     """By brute force over the t-subsets of each failed attempt's first n
     sampled vertices: the reported color is the lowest one with a
@@ -428,14 +464,10 @@ def test_a_failed_attempt_names_the_lowest_color_with_a_clique_in_its_first_n():
     edge of color 1 has an end past the first 10 vertices."""
     failures = several = 0
     for q, t, n in ((3, 4, 24), (13, 2, 10)):
-        ground = moment._witness_ground(q, t)
-        m = min(len(ground), 2 * n)
         for seed in range(1, 11):
             result = find_witness(q, t, n, 3, seed)
             for f in getattr(result, "failures", ()):
-                sk = attempt_seed(seed, f.attempt)
-                col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m),
-                                           moment.sample_distinct(ground, m, make_rng(sk)))
+                col = attempt_coloring(q, t, n, seed, f.attempt)
                 colors = set()
                 for sub in itertools.combinations(range(n), t):
                     pair_colors = {col.rows[a][b - a - 1] for a, b in itertools.combinations(sub, 2)}
@@ -445,6 +477,43 @@ def test_a_failed_attempt_names_the_lowest_color_with_a_clique_in_its_first_n():
                 failures += 1
                 several += len(colors) > 1
     assert failures >= 40 and several
+
+
+def test_certify_sizes_are_those_of_the_witness_search():
+    """Every stored size and every failure's clique size is the size of
+    the witness that max_monochromatic_clique, relabel and all, finds
+    on the same coloring."""
+    requests = [(3, 4, n, 20 if n < 24 else 12, seed) for n in (14, 20, 24) for seed in range(1, 21)]
+    requests += [(5, 4, 52, 20, 1), (11, 3, 30, 20, 5), (2, 9, 89, 20, 1)]
+    certificates = failures = 0
+    for q, t, n, attempts, seed in requests:
+        result = find_witness(q, t, n, attempts, seed)
+        for f in getattr(result, "failures", ()):
+            col = attempt_coloring(q, t, n, seed, f.attempt).induced(range(n))
+            assert f.clique_size == max_monochromatic_clique(col, f.color).size
+            failures += 1
+        if isinstance(result, WitnessCertificate):
+            sizes = tuple(max_monochromatic_clique(result.coloring, c).size for c in range(1, q + 2))
+            assert result.max_clique_sizes == sizes
+            certificates += 1
+    assert (certificates, failures) == (48, 180)
+
+
+def test_certify_pays_for_no_peeling_order_or_relabel(monkeypatch, tmp_path, capsys):
+    """find_witness stores sizes only, so it never orders or relabels a
+    class; verify, which prints witnesses, still does both."""
+    calls = []
+    for name in ("_degeneracy_order", "_relabel"):
+        real = getattr(cliques, name)
+        monkeypatch.setattr(cliques, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    result = find_witness(3, 4, 24, 12, 1)
+    assert isinstance(result, WitnessCertificate) and result.attempt > 1
+    assert calls == []
+    path = tmp_path / "c.txt"
+    assert cli.dispatch(["construct", "--q", "3", "--t", "4", "--n", "33", "--out", str(path)]) == 0
+    assert cli.dispatch(["verify", "--coloring", str(path), "--target", "4"]) == 1
+    capsys.readouterr()
+    assert {"_degeneracy_order", "_relabel"} <= set(calls)
 
 
 def test_find_witness_validation():
@@ -644,13 +713,9 @@ def reference_hitting_set(cliques, budget):
 def attempt_cliques(n, seed, attempt):
     """The monochromatic K_4 masks and the budget m - n of one (3,4)
     attempt, as _run_attempt lists them."""
-    ground = moment._witness_ground(3, 4)
-    sk = attempt_seed(seed, attempt)
-    m = min(len(ground), 2 * n)
-    col = build_field_coloring(ConstructionParams(ground.modulus, 4, sk, m),
-                               moment.sample_distinct(ground, m, make_rng(sk)))
+    col = attempt_coloring(3, 4, n, seed, attempt)
     return [sum(1 << v for v in verts) for c in range(1, 5)
-            for verts in _k_cliques(col.color_class_bitsets(c), 4, DEFAULT_NODE_CAP, "x")], m - n
+            for verts in _k_cliques(col.color_class_bitsets(c), 4, DEFAULT_NODE_CAP, "x")], col.n - n
 
 
 def test_hitting_set_on_incidence_masks_matches_the_list_search():
