@@ -76,6 +76,7 @@ def integer_root(n: int, k: int) -> int:
     The iterates therefore fall strictly while above r, never below it,
     and the first step that does not fall is the one from r.
     """
+    _require_ints(n=n, k=k)
     if k < 1:
         raise ParameterError("root index must be positive")
     if n < 0:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 from typing import Sequence
 
@@ -144,7 +143,7 @@ def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -
     if isinstance(products[0], bytes):
         # One byte per product, so q <= 16 and every color fits a byte: the
         # colors and the products must agree under a mask over [1, q - 1].
-        colors = bytes(itertools.chain.from_iterable(coloring.rows))
+        colors = b"".join(coloring.rows)
         mask = colors.translate(bytes(1) + b"\xff" * (q - 1) + bytes(256 - q))
         diff = int.from_bytes(colors, "little") ^ int.from_bytes(b"".join(products), "little")
         return not diff & int.from_bytes(mask, "little")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coloring import EdgeColoring
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, _eliminate, _scalar_products, dot, is_prime, rank
 from .isotropic import IsotropicSet
 
@@ -319,6 +319,7 @@ def clique_gram_det(i: int, s: int, modulus: PrimeModulus) -> int:
     off-diagonal entry equal to i.  Computed by elimination; it vanishes
     exactly when s is 1 mod q.
     """
+    _require_ints(i=i, s=s)
     q = modulus.q
     if not 1 <= i <= q - 1:
         raise ParameterError(f"color value {i} outside [1, {q - 1}]")
@@ -377,6 +378,7 @@ def enumerate_potential_cliques(
 ) -> list[PotentialClique]:
     """All t-subsets of the ground set with pairwise product zero, in
     the lexicographic order of _orthogonal_tuples."""
+    _require_ints(t=t)
     vecs = ground.vectors
     return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _orthogonal_tuples(ground, t, cap)]
 
@@ -387,6 +389,7 @@ def rank_count_bound(q: int, t: int, r: int) -> int:
     Ordered convention: the first r vectors are linearly independent and
     the remaining t-r lie in their span.
     """
+    _require_ints(q=q, t=t, r=r)
     if not is_prime(q):
         raise ParameterError(f"{q} is not prime")
     if not 0 <= r <= t:

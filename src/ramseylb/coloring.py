@@ -37,6 +37,8 @@ _BYTES = bytes(range(256))
 _DIGIT_ROW = re.compile(r"[1-9](?: [1-9])*")
 _DIGITS = bytes((c + 48) % 256 for c in range(256))
 _UNDIGITS = bytes((c - 48) % 256 for c in range(256))
+# Colors 1 and 2 of build_two_color for the products 0 and 1 mod 2.
+_PARITY_COLORS = b"\x01\x02" + bytes(254)
 
 
 # The most vertex pairs of a coloring a request may build: n(n - 1)/2 at
@@ -61,32 +63,48 @@ def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
         return None
 
 
-def _colors_fit(rows: Sequence[Sequence[int]], k: int) -> bool:
-    """Whether every color is an exact int in [1, k], decided in C:
-    type() runs none of a color's code, so bytes() meets only ints, and
-    it refuses one outside [0, 255].  So a color above 255 answers no,
-    also when k allows it."""
-    colors = list(itertools.chain.from_iterable(rows))
-    if operator.countOf(map(type, colors), int) != len(colors):
-        return False
-    try:
-        return not bytes(colors).translate(None, _BYTES[1 : k + 1])
-    except ValueError:
-        return False
+def _byte_rows(rows: Sequence[Sequence[int]], n: int, k: int) -> tuple[bytes, ...] | None:
+    """rows as a tuple of bytes when row i holds n - 1 - i colors, each an
+    exact int in [1, k] for k <= 255; otherwise None.  Decided in C: a
+    bytes row holds only ints in [0, 255]; the colors of any other row are
+    checked by type(), which runs none of their code, so bytes() meets
+    only exact ints, and it refuses one outside [0, 255]."""
+    if list(map(len, rows)) != list(range(n - 1, 0, -1)):
+        return None
+    if operator.countOf(map(type, rows), bytes) != len(rows):
+        colors = list(itertools.chain.from_iterable(rows))
+        if operator.countOf(map(type, colors), int) != len(colors):
+            return None
+        try:
+            rows = list(map(bytes, rows))
+        except ValueError:
+            return None
+    if b"".join(rows).translate(None, _BYTES[1 : k + 1]):
+        return None
+    return tuple(rows)
+
+
+def _row_type(k: int) -> type:
+    """The type of a row of a k-color coloring as EdgeColoring keeps it,
+    for builders that hand it rows in that form."""
+    return bytes if k <= 255 else tuple
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
     """A complete edge coloring of K_n with colors in [1, num_colors].
 
-    ``rows[i]`` holds the colors of edges (i, i+1), ..., (i, n-1).
-    Provenance lines record how the coloring was built; they are carried
-    into the file format as comments and ignored by equality.
+    ``rows[i]`` holds the colors of edges (i, i+1), ..., (i, n-1): bytes
+    for a palette of at most 255 colors, a tuple of ints above.  Rows are
+    accepted in any sequence of exact ints and kept in that one form, so
+    equal colorings compare and hash equal.  Provenance lines record how
+    the coloring was built; they are carried into the file format as
+    comments and ignored by equality.
     """
 
     n: int
     num_colors: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[bytes, ...] | tuple[tuple[int, ...], ...]
     provenance: tuple[str, ...] = dataclass_field(default=(), compare=False)
 
     def __post_init__(self) -> None:
@@ -99,16 +117,19 @@ class EdgeColoring:
             raise ParameterError("a coloring needs at least one color")
         if len(self.rows) != n - 1:
             raise ParameterError(f"expected {n - 1} rows, got {len(self.rows)}")
-        if list(map(len, self.rows)) == list(range(n - 1, 0, -1)) and _colors_fit(self.rows, k):
-            return
-        # Walked pair by pair only when a check fails, to report its first fault.
-        for i, row in enumerate(self.rows):
-            if len(row) != n - 1 - i:
-                raise ParameterError(f"row {i} has {len(row)} colors, expected {n - 1 - i}")
-            for c in row:
-                if type(c) is not int or not 1 <= c <= k:
-                    bad = f"outside [1, {k}]" if type(c) is int else "is not an int"
-                    raise ParameterError(f"color {c!r} {bad}")
+        rows = _byte_rows(self.rows, n, k) if k <= 255 else None
+        if rows is None:
+            # Walked pair by pair: below 256 colors only when a check
+            # fails, to report its first fault; above, to check each color.
+            for i, row in enumerate(self.rows):
+                if len(row) != n - 1 - i:
+                    raise ParameterError(f"row {i} has {len(row)} colors, expected {n - 1 - i}")
+                for c in row:
+                    if type(c) is not int or not 1 <= c <= k:
+                        bad = f"outside [1, {k}]" if type(c) is int else "is not an int"
+                        raise ParameterError(f"color {c!r} {bad}")
+            rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
 
     @cached_property
     def _matrix(self) -> bytes:
@@ -117,9 +138,8 @@ class EdgeColoring:
         n = self.n
         mat = bytearray(n * n)
         for i, row in enumerate(self.rows):
-            r = bytes(row)
-            mat[i * n + i + 1 : (i + 1) * n] = r
-            mat[(i + 1) * n + i :: n] = r
+            mat[i * n + i + 1 : (i + 1) * n] = row
+            mat[(i + 1) * n + i :: n] = row
         return bytes(mat)
 
     def color_class_bitsets(self, color: int) -> list[int]:
@@ -129,6 +149,7 @@ class EdgeColoring:
         that vertex v's row, read as binary, has bit j for edge (v, j).
         A palette above 255 colors does not fit bytes and is read per pair.
         """
+        _require_ints(color=color)
         if not 1 <= color <= self.num_colors:
             raise ParameterError(f"color {color} outside [1, {self.num_colors}]")
         n = self.n
@@ -151,14 +172,18 @@ class EdgeColoring:
         idx = list(indices)
         if not idx:
             raise ParameterError("subset must be non-empty")
+        if operator.countOf(map(type, idx), int) != len(idx):
+            bad = next(i for i in idx if type(i) is not int)
+            raise ParameterError(f"vertex index {bad!r} must be an int")
         if len(set(idx)) != len(idx):
             raise ParameterError("duplicate vertex in subset")
         if not all(0 <= i < self.n for i in idx):
             raise ParameterError(f"vertex index outside [0, {self.n})")
         k = len(idx)
         full = self.rows
+        frozen = _row_type(self.num_colors)
         rows = tuple(
-            tuple(full[i][j - i - 1] if i < j else full[j][i - j - 1] for j in idx[a + 1 :])
+            frozen(full[i][j - i - 1] if i < j else full[j][i - j - 1] for j in idx[a + 1 :])
             for a, i in enumerate(idx[:-1])
         )
         note = f"induced on {k} of {self.n} vertices"
@@ -173,7 +198,7 @@ class EdgeColoring:
             # One digit per color, spliced into the even offsets of the blanks.
             for row in self.rows:
                 line = bytearray(b" " * (2 * len(row) - 1))
-                line[::2] = bytes(row).translate(_DIGITS)
+                line[::2] = row.translate(_DIGITS)
                 lines.append(line.decode())
         return "\n".join(lines) + "\n"
 
@@ -198,7 +223,7 @@ class EdgeColoring:
         rows = []
         for i, line in enumerate(lines[pos:]):
             if _DIGIT_ROW.fullmatch(line):
-                rows.append(tuple(line.encode()[::2].translate(_UNDIGITS)))
+                rows.append(line.encode()[::2].translate(_UNDIGITS))
                 continue
             try:
                 rows.append(tuple(map(int, line.split())))
@@ -269,16 +294,18 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
     ranks = [0] * len(verts)
     for r, k in enumerate(sorted(range(len(verts)), key=coords.__getitem__)):
         ranks[k] = r
+    frozen = _row_type(q + 1)
+    row_of = bytearray if frozen is bytes else list
     rows = []
     for i, prods in enumerate(_scalar_products(coords, q)):
         ri, hi, ti = ranks[i], heads[i], texts[i]
-        row = list(prods)
+        row = row_of(prods)
         j = -1
         for _ in range(prods.count(0)):
             j = prods.index(0, j + 1)
             k = i + 1 + j
             row[j] = q + pair_coin(seed, hi + texts[k] if ri < ranks[k] else heads[k] + ti)
-        rows.append(tuple(row))
+        rows.append(frozen(row))
     prov = (_field_line(q, params.t, params.n, params.seed),)
     return EdgeColoring(params.n, q + 1, tuple(rows), prov)
 
@@ -339,7 +366,7 @@ def build_two_color(t: int, n: int, seed: int) -> EdgeColoring:
     while len(chosen) < n:
         chosen[tuple(rng.randrange(2) for _ in range(length))] = None
     coords = list(chosen)
-    rows = tuple(tuple(map((1, 2).__getitem__, prods)) for prods in _scalar_products(coords, 2))
+    rows = tuple(bytes(prods).translate(_PARITY_COLORS) for prods in _scalar_products(coords, 2))
     return EdgeColoring(n, 2, rows, (f"two-color t={t} n={n} seed={seed}",))
 
 
@@ -355,8 +382,9 @@ def build_paley(p: int) -> EdgeColoring:
         raise ParameterError(f"{p} is not prime")
     if p % 4 != 1:
         raise ParameterError(f"{p} is {p % 4} mod 4; need 1 mod 4 for a symmetric coloring")
+    # Edge (i, j), i < j, has color 1 when j - i is a residue: row i is
+    # the colors of the differences 1, ..., p - 1 - i.
     residues = {x * x % p for x in range(1, p)}
-    rows = tuple(
-        tuple(1 if (j - i) % p in residues else 2 for j in range(i + 1, p)) for i in range(p - 1)
-    )
+    colors = bytes(1 if d in residues else 2 for d in range(p))
+    rows = tuple(colors[1 : p - i] for i in range(p - 1))
     return EdgeColoring(p, 2, rows, (f"paley p={p}",))

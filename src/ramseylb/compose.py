@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coloring import EdgeColoring, _check_pairs
+from .coloring import EdgeColoring, _check_pairs, _row_type
 
 
 def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
@@ -21,8 +21,9 @@ def blowup_product(outer: EdgeColoring, inner: EdgeColoring) -> EdgeColoring:
     # Row (a, b) is inner row b, shifted, then outer row a with each color
     # repeated n2 times, for the later vertices of copy a and of copies past
     # a.  The last vertex of a copy, and of the product, has an empty part.
-    shifted = [tuple(map(shift.__add__, row)) for row in inner.rows] + [()]
-    repeated = [tuple(itertools.chain.from_iterable(zip(*[row] * n2))) for row in outer.rows] + [()]
+    frozen = _row_type(shift + inner.num_colors)
+    shifted = [frozen(map(shift.__add__, row)) for row in inner.rows] + [frozen()]
+    repeated = [frozen(itertools.chain.from_iterable(zip(*[row] * n2))) for row in outer.rows] + [frozen()]
     rows = tuple(b + a for a in repeated for b in shifted)[:-1]
     note = (
         f"blowup outer(n={n1} colors={outer.num_colors}) "

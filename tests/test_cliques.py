@@ -9,6 +9,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from ramseylb import moment
+from ramseylb.bounds import integer_root
 from ramseylb.cli import _construct_sample, _gram_bound
 from ramseylb.cliques import (
     DEFAULT_NODE_CAP,
@@ -846,3 +847,25 @@ def test_stopped_search_fits_under_a_cap_the_full_search_exceeds():
 def test_search_upper_bound_validated():
     with pytest.raises(ParameterError):
         max_monochromatic_clique(build_paley(5), 1, upper=0)
+
+
+_PALEY_5 = build_paley(5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integer_root(16.0, 2),
+    lambda: integer_root(16, 2.0),
+    lambda: rank_count_bound(3, 4.0, 2),
+    lambda: clique_gram_det(1, 3.0, PrimeModulus(3)),
+    lambda: max_monochromatic_clique(_PALEY_5, 1.0),
+    lambda: _PALEY_5.induced([0.0, 1]),
+    lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4.0),
+    lambda: _PALEY_5.color_class_bitsets(True),
+], ids=["root-n", "root-k", "rank-count-t", "gram-det-s", "max-clique-color", "induced-index",
+        "potential-t", "bitsets-color"])
+def test_an_argument_that_is_not_an_int_is_a_parameter_error(call):
+    """These used to escape as AttributeError or TypeError, or to return:
+    4.0 for a root, 177147.0 for a count, 1008 cliques for t = 4.0 and
+    color 1's class for True."""
+    with pytest.raises(ParameterError, match="must be an int"):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -392,6 +393,116 @@ def test_coloring_accessor_and_validation():
         EdgeColoring(3, 300, ((300, 256), (301,)))
 
 
+def canonical(col):
+    """Whether the rows are in the one form EdgeColoring keeps: a tuple of
+    bytes up to 255 colors, a tuple of int tuples above."""
+    if type(col.rows) is not tuple:
+        return False
+    if col.num_colors <= 255:
+        return all(type(row) is bytes for row in col.rows)
+    return all(type(row) is tuple and all(type(c) is int for c in row) for row in col.rows)
+
+
+@pytest.mark.parametrize("k", [4, 300])
+def test_equal_colorings_compare_and_hash_equal_whatever_their_rows_came_in(k):
+    rows = [[1, 2, 4, 3], [2, 2, 1], [4, 1], [3]]
+    made = [
+        EdgeColoring(5, k, tuple(map(tuple, rows))),
+        EdgeColoring(5, k, rows),
+        EdgeColoring(5, k, [bytes(row) for row in rows]),
+        EdgeColoring(5, k, tuple(bytearray(row) for row in rows)),
+        EdgeColoring(5, k, tuple(map(tuple, rows)), ("a provenance line",)),
+    ]
+    first = made[0]
+    for col in made:
+        assert canonical(col)
+        assert col == first and hash(col) == hash(first)
+        assert col.to_text().replace("# a provenance line\n", "") == first.to_text()
+    assert len(set(made)) == 1
+    assert EdgeColoring(3, 4, ((1, 2), (1,))) == EdgeColoring(3, 4, [[1, 2], [1]])
+    assert EdgeColoring(3, 4, ((1, 2), (1,))) != EdgeColoring(3, 4, ((1, 2), (2,)))
+
+
+def test_every_producer_emits_canonical_rows(monkeypatch):
+    ground = enumerate_isotropic(PrimeModulus(257), 2)
+    wide = build_field_coloring(ConstructionParams(ground.modulus, 2, 3, 12), ground.vectors[:12])
+    assert wide.num_colors == 258
+    paley = build_paley(13)
+    # Whether the rows each constructor call is handed are already bytes.
+    handed = []
+    byte_rows = coloring_module._byte_rows
+
+    def spy(rows, n, k):
+        handed.append(all(type(row) is bytes for row in rows))
+        return byte_rows(rows, n, k)
+
+    monkeypatch.setattr(coloring_module, "_byte_rows", spy)
+    makers = {
+        "field": lambda: sampled_field_coloring(3, 4, 33),
+        "field-2-9": lambda: sampled_field_coloring(2, 9, 60),
+        "field-258-colors": lambda: wide,
+        "two-color": lambda: build_two_color(4, 40, 5),
+        "two-color-list-products": lambda: build_two_color(128, 12, 5),
+        "paley": lambda: build_paley(13),
+        "digit-codec": lambda: EdgeColoring.from_text(paley.to_text()),
+        "general-text": lambda: EdgeColoring.from_text(sampled_field_coloring(11, 3, 30).to_text()),
+        "general-text-258-colors": lambda: EdgeColoring.from_text(wide.to_text()),
+        "induced": lambda: paley.induced([5, 0, 3, 12]),
+        "induced-258-colors": lambda: wide.induced(range(11, 0, -2)),
+        "blowup": lambda: blowup_product(paley, build_paley(5)),
+        "blowup-258-colors": lambda: blowup_product(wide, paley),
+        "replace": lambda: dataclasses.replace(paley, rows=[list(row) for row in paley.rows]),
+        "replace-258-colors": lambda: dataclasses.replace(wide, rows=list(wide.rows)),
+    }
+    # The package's own producers skip the constructor's per-color type scan.
+    in_bytes = {"field", "field-2-9", "two-color", "two-color-list-products", "paley", "digit-codec",
+                "induced", "blowup"}
+    made = {}
+    for name, make in makers.items():
+        handed.clear()
+        made[name] = col = make()
+        assert canonical(col), name
+        if name in in_bytes:
+            assert handed[-1:] == [True], name
+    assert made["digit-codec"] == made["replace"] == paley
+    assert made["general-text-258-colors"] == made["replace-258-colors"] == wide
+
+
+_BAD_ROWS = [
+    # (the colors of row 2 of n = 6, k, the message)
+    ((1, 0, 2), 4, "color 0 outside [1, 4]"),
+    ((1, 5, 2), 4, "color 5 outside [1, 4]"),
+    ((1, 2), 4, "row 2 has 2 colors, expected 3"),
+    ((0, 255, 1), 255, "color 0 outside [1, 255]"),
+]
+
+
+@pytest.mark.parametrize("bad,k,message", _BAD_ROWS + [
+    ((1, True, 2), 4, "color True is not an int"),
+    ((1, 1.0, 2), 4, "color 1.0 is not an int"),
+    ((1, 256, 2), 255, "color 256 outside [1, 255]"),
+])
+def test_bad_tuple_rows_keep_their_messages(bad, k, message):
+    rows = [(1,) * (5 - i) for i in range(5)]
+    rows[2] = bad
+    # a later fault is not the one reported
+    rows[4] = ()
+    with pytest.raises(ParameterError) as info:
+        EdgeColoring(6, k, tuple(rows))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad,k,message", _BAD_ROWS)
+def test_bad_bytes_rows_keep_their_messages(bad, k, message):
+    rows = [bytes([1]) * (5 - i) for i in range(5)]
+    rows[2] = bytes(bad)
+    # a later fault is not the one reported
+    rows[4] = b""
+    with pytest.raises(ParameterError) as info:
+        EdgeColoring(6, k, tuple(rows))
+    assert str(info.value) == message
+
+
 def test_file_format_roundtrip():
     col = build_paley(13)
     text = col.to_text()
@@ -498,6 +609,8 @@ def test_digit_codec_agrees_with_the_general_path(monkeypatch):
             col = EdgeColoring(n, k, rows, (f"palette {k}",))
             text = col.to_text()
             assert text == general_to_text(col)
+            # Parsed rows are bytes: every palette here has at most 12 colors.
+            rows = tuple(map(bytes, rows))
             cases.append((text, rows))
             if n < 3:
                 continue

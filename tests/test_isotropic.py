@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from ramseylb.errors import CapacityError, DimensionError, ParameterError, Resou
 from ramseylb.field import FieldVector, PrimeModulus, is_isotropic, is_prime
 from ramseylb.isotropic import (
     IsotropicSet,
+    _isotropic_coords,
     _isotropic_count,
     bernoulli_subset,
     enumerate_isotropic,
@@ -53,6 +55,19 @@ def test_enumerate_lexicographic_and_clean():
     assert coords == sorted(coords)
     assert len(set(coords)) == len(coords)
     assert all(is_isotropic(v) for v in vs.vectors)
+
+
+def test_isotropic_coords_match_the_filter_over_all_tuples():
+    """The listing completed by square roots mod q, against every tuple of
+    F_q^t kept when its sum of squares is 0 mod q: the same tuples in the
+    same order, for q^t <= 2 * 10^5."""
+    for q in (2, 3, 5, 7, 11, 13):
+        for t in range(1, 8):
+            if q**t > 2 * 10**5:
+                break
+            kept = [c for c in itertools.product(range(q), repeat=t) if sum(x * x for x in c) % q == 0]
+            assert list(_isotropic_coords(q, t)) == kept, (q, t)
+    assert list(_isotropic_coords(999983, 1)) == [(0,)]
 
 
 @pytest.mark.parametrize("q,t", [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (5, 3), (5, 4)])
