@@ -65,10 +65,11 @@ def _ints(digits: Iterable[str]) -> tuple[int, ...] | None:
 
 def _byte_rows(rows: Sequence[Sequence[int]], n: int, k: int) -> tuple[bytes, ...] | None:
     """rows as a tuple of bytes when row i holds n - 1 - i colors, each an
-    exact int in [1, k] for k <= 255; otherwise None.  Decided in C: a
-    bytes row holds only ints in [0, 255]; the colors of any other row are
-    checked by type(), which runs none of their code, so bytes() meets
-    only exact ints, and it refuses one outside [0, 255]."""
+    exact int in [1, k]; otherwise None.  For a palette whose rows
+    _row_type makes bytes.  Decided in C: a bytes row holds only ints in
+    [0, 255]; the colors of any other row are checked by type(), which
+    runs none of their code, so bytes() meets only exact ints, and it
+    refuses one outside [0, 255]."""
     if list(map(len, rows)) != list(range(n - 1, 0, -1)):
         return None
     if operator.countOf(map(type, rows), bytes) != len(rows):
@@ -117,10 +118,10 @@ class EdgeColoring:
             raise ParameterError("a coloring needs at least one color")
         if len(self.rows) != n - 1:
             raise ParameterError(f"expected {n - 1} rows, got {len(self.rows)}")
-        rows = _byte_rows(self.rows, n, k) if k <= 255 else None
+        rows = _byte_rows(self.rows, n, k) if _row_type(k) is bytes else None
         if rows is None:
-            # Walked pair by pair: below 256 colors only when a check
-            # fails, to report its first fault; above, to check each color.
+            # Walked pair by pair: for byte rows only when a check fails,
+            # to report its first fault; for int rows, to check each color.
             for i, row in enumerate(self.rows):
                 if len(row) != n - 1 - i:
                     raise ParameterError(f"row {i} has {len(row)} colors, expected {n - 1 - i}")
@@ -147,13 +148,13 @@ class EdgeColoring:
 
         Read from the color matrix, translated to "0"/"1" and reversed so
         that vertex v's row, read as binary, has bit j for edge (v, j).
-        A palette above 255 colors does not fit bytes and is read per pair.
+        A palette whose rows are int tuples is read per pair.
         """
         _require_ints(color=color)
         if not 1 <= color <= self.num_colors:
             raise ParameterError(f"color {color} outside [1, {self.num_colors}]")
         n = self.n
-        if self.num_colors > 255:
+        if _row_type(self.num_colors) is not bytes:
             adj = [0] * n
             for i, row in enumerate(self.rows):
                 bit = 1 << i
@@ -295,11 +296,10 @@ def build_field_coloring(params: ConstructionParams, vertices: Sequence[FieldVec
     for r, k in enumerate(sorted(range(len(verts)), key=coords.__getitem__)):
         ranks[k] = r
     frozen = _row_type(q + 1)
-    row_of = bytearray if frozen is bytes else list
     rows = []
     for i, prods in enumerate(_scalar_products(coords, q)):
         ri, hi, ti = ranks[i], heads[i], texts[i]
-        row = row_of(prods)
+        row = list(prods)
         j = -1
         for _ in range(prods.count(0)):
             j = prods.index(0, j + 1)
