@@ -225,6 +225,9 @@ def max_monochromatic_clique(
     Euler's criterion d^((q-1)/2) = -1 decides, no t-clique of color i
     exists, and so none larger either.
     """
+    _require_ints(cap=cap)
+    if upper is not None:
+        _require_ints(upper=upper)
     if cap < 1:
         raise ParameterError(f"node cap {cap} must be positive")
     if upper is not None and upper < 1:
@@ -378,7 +381,7 @@ def enumerate_potential_cliques(
 ) -> list[PotentialClique]:
     """All t-subsets of the ground set with pairwise product zero, in
     the lexicographic order of _orthogonal_tuples."""
-    _require_ints(t=t)
+    _require_ints(t=t, cap=cap)
     vecs = ground.vectors
     return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _orthogonal_tuples(ground, t, cap)]
 

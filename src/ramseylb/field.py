@@ -8,8 +8,8 @@ stays exact for every prime modulus.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import DimensionError, FormatError, ParameterError
@@ -54,21 +54,30 @@ def _text_modulus(q: int) -> PrimeModulus:
 class FieldVector:
     """A vector over F_q with coordinates reduced into [0, q).
 
-    Its self-product and text form are computed on first read and kept
-    on the instance, pickled with it, so a vector shared across builds
-    pays for them once.
+    Its self-product <v, v> in F_q, the attribute ``self_product``, is
+    computed at construction, as every vector is read by it when it
+    enters an IsotropicSet.  Its text form is computed on the first call
+    of text_form and kept in the instance dict, so a ground set of
+    262,144 vectors holds no text it never renders.  Both are plain
+    instance attributes, pickled with the vector, so a vector shared
+    across builds pays for them once; neither takes part in equality,
+    hashing or the repr.
     """
 
     modulus: PrimeModulus
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coords) == 0:
+        coords = self.coords
+        if len(coords) == 0:
             raise DimensionError("vector must have at least one coordinate")
-        if any(type(c) is not int for c in self.coords):
-            raise ParameterError(f"coordinates must be int: {self.coords!r}")
+        if operator.countOf(map(type, coords), int) != len(coords):
+            raise ParameterError(f"coordinates must be int: {coords!r}")
         q = self.modulus.q
-        object.__setattr__(self, "coords", tuple(c % q for c in self.coords))
+        # Written to the instance dict, past the frozen __setattr__.
+        attrs = self.__dict__
+        attrs["coords"] = reduced = tuple(map(q.__rmod__, coords))
+        attrs["self_product"] = sum(map(operator.mul, reduced, reduced)) % q
 
     @property
     def q(self) -> int:
@@ -77,18 +86,13 @@ class FieldVector:
     def __len__(self) -> int:
         return len(self.coords)
 
-    @cached_property
-    def self_product(self) -> int:
-        """<v, v> in F_q."""
-        return sum(c * c for c in self.coords) % self.q
-
-    @cached_property
-    def _text(self) -> str:
-        return f"{self.q} {len(self.coords)} " + " ".join(str(c) for c in self.coords)
-
     def text_form(self) -> str:
         """``q t c1 ... ct``, the serialization used inside file formats."""
-        return self._text
+        attrs = self.__dict__
+        text = attrs.get("_text")
+        if text is None:
+            text = attrs["_text"] = f"{self.modulus.q} {len(self.coords)} " + " ".join(map(str, self.coords))
+        return text
 
     @classmethod
     def from_text(cls, line: str, modulus: PrimeModulus | None = None) -> "FieldVector":
@@ -99,14 +103,14 @@ class FieldVector:
             raise FormatError(f"vector line needs q, t and coordinates: {line!r}")
         try:
             q, t = int(parts[0]), int(parts[1])
-            coords = tuple(int(x) for x in parts[2:])
+            coords = tuple(map(int, parts[2:]))
         except ValueError as exc:
             raise FormatError(f"non-integer token in vector line: {line!r}") from exc
         if len(coords) != t:
             raise FormatError(f"vector line declares t={t} but has {len(coords)} coordinates")
         if modulus is None or modulus.q != q:
             modulus = _text_modulus(q)
-        if any(not 0 <= c < q for c in coords):
+        if min(coords) < 0 or max(coords) >= q:
             raise FormatError(f"vector coordinate outside [0, {q}): {line!r}")
         return cls(modulus, coords)
 

@@ -362,8 +362,22 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
     a vertex's count is its incidence mask's overlap with it.  A node
     walks its open cliques, never a mask bit by bit, and counts as many
     nodes as it has open cliques, at least 1, against cap.
+
+    The packing is built only at a node where a cut can fire.  At a node
+    with nothing banned, each open clique is its own free part, of at
+    least ``smallest`` vertices, so none is empty unless an empty clique
+    was listed (then smallest is 0 and the bound is built at every node).
+    The cliques' vertices lie in [0, room), room being one past the
+    highest, and the open ones avoid the d deleted vertices, so at most
+    (room - d) // smallest of them are pairwise disjoint.  When d plus
+    that is within the budget, neither cut fires, and the node branches
+    as it would have.
+    Nodes are charged before this test, so the result, every charge and
+    every cap error are those of the search that always builds it.
     """
     through = _incidence(cliques)
+    room = len(through)
+    smallest = min(map(int.bit_count, cliques), default=0)
     visited = 0
     stack = [(0, 0, (1 << len(cliques)) - 1)]  # (deleted, banned, open positions)
     while stack:
@@ -373,12 +387,14 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
             raise ResourceCapError(f"hitting-set search exceeded {cap} nodes")
         if not open_:
             return deleted
-        # One byte per position, 1 where the clique there is open: the
-        # mask's binary digits, lowest first, as their values.
-        is_open = format(open_, "b")[::-1].encode().translate(_UNDIGITS)
-        frees = sorted((c & ~banned for c in itertools.compress(cliques, is_open)), key=int.bit_count)
-        if not frees[0] or deleted.bit_count() + _disjoint_packing(frees) > budget:
-            continue
+        d = deleted.bit_count()
+        if banned or not smallest or d + (room - d) // smallest > budget:
+            # One byte per position, 1 where the clique there is open: the
+            # mask's binary digits, lowest first, as their values.
+            is_open = format(open_, "b")[::-1].encode().translate(_UNDIGITS)
+            frees = sorted((c & ~banned for c in itertools.compress(cliques, is_open)), key=int.bit_count)
+            if not frees[0] or d + _disjoint_packing(frees) > budget:
+                continue
         counts = [(th & open_).bit_count() for th in through]
         rest = banned
         while rest:
@@ -431,8 +447,9 @@ def _run_attempt(
     m = min(len(ground), 2 * n)
     sample = sample_distinct(ground, m, make_rng(sk))
     col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m), sample)
+    bits = [1 << v for v in range(m)]
     listed = [
-        (c, sum(1 << v for v in verts))
+        (c, sum(map(bits.__getitem__, verts)))
         for c in range(1, q + 2)
         for verts in _k_cliques(col.color_class_bitsets(c), t, node_cap, "monochromatic clique listing")
     ]
@@ -494,7 +511,7 @@ def find_witness(
     in the calling process.  The lowest successful attempt index always
     wins, making the outcome identical to a sequential run.
     """
-    _require_ints(max_attempts=max_attempts, jobs=jobs)
+    _require_ints(max_attempts=max_attempts, jobs=jobs, node_cap=node_cap)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
     if jobs < 1:

@@ -850,6 +850,7 @@ def test_search_upper_bound_validated():
 
 
 _PALEY_5 = build_paley(5)
+_PALEY_13 = build_paley(13)
 
 
 @pytest.mark.parametrize("call", [
@@ -861,11 +862,19 @@ _PALEY_5 = build_paley(5)
     lambda: _PALEY_5.induced([0.0, 1]),
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4.0),
     lambda: _PALEY_5.color_class_bitsets(True),
+    lambda: max_monochromatic_clique(_PALEY_13, 1, cap=1e7),
+    lambda: max_monochromatic_clique(_PALEY_13, 1, upper=2.5),
+    lambda: max_monochromatic_clique(_PALEY_13, 1, upper=True),
+    lambda: max_monochromatic_clique(_PALEY_13, 1, cap=None),
+    lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=1e7),
+    lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=None),
 ], ids=["root-n", "root-k", "rank-count-t", "gram-det-s", "max-clique-color", "induced-index",
-        "potential-t", "bitsets-color"])
+        "potential-t", "bitsets-color", "max-clique-cap-float", "max-clique-upper-fraction",
+        "max-clique-upper-bool", "max-clique-cap-none", "potential-cap-float", "potential-cap-none"])
 def test_an_argument_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as AttributeError or TypeError, or to return:
-    4.0 for a root, 177147.0 for a count, 1008 cliques for t = 4.0 and
-    color 1's class for True."""
+    4.0 for a root, 177147.0 for a count, 1008 cliques for t = 4.0 or for
+    a cap of 1e7, color 1's class for True, and a witness for a cap of
+    1e7 or an upper bound of 2.5 or True."""
     with pytest.raises(ParameterError, match="must be an int"):
         call()

@@ -90,6 +90,36 @@ def test_text_form_and_self_product_are_kept_on_the_vector_and_pickled_with_it()
     assert fv(M7, 1, 6, 0, 3) == w and repr(fv(M7, 1, 6, 0, 3)) == repr(w)
 
 
+def reference_vector(q, coords):
+    """A vector's reduced coordinates, self-product and text form, by
+    generator expressions."""
+    reduced = tuple(c % q for c in coords)
+    return reduced, sum(c * c for c in reduced) % q, f"{q} {len(reduced)} " + " ".join(str(c) for c in reduced)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_field_vectors_match_the_generator_reference(data):
+    """Coordinates of any sign and size; a pickled vector keeps its
+    values whether or not its text was read; a bool, float or str among
+    the coordinates is refused with the message naming them all."""
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 257]))
+    coords = tuple(data.draw(st.lists(st.integers(), min_size=1, max_size=12)))
+    reduced, product, text = reference_vector(q, coords)
+    v = FieldVector(PrimeModulus(q), coords)
+    assert v.coords == reduced and v.self_product == product
+    fresh = pickle.loads(pickle.dumps(v))
+    assert v.text_form() == text
+    for w in (fresh, pickle.loads(pickle.dumps(v))):
+        assert w == v and w.coords == reduced and w.self_product == product and w.text_form() == text
+    bad = data.draw(st.sampled_from([True, False, 1.0, -2.5, "1"]))
+    spoiled = list(coords)
+    spoiled.insert(data.draw(st.integers(0, len(coords))), bad)
+    with pytest.raises(ParameterError) as exc:
+        FieldVector(PrimeModulus(q), tuple(spoiled))
+    assert str(exc.value) == f"coordinates must be int: {tuple(spoiled)!r}"
+
+
 def test_from_text_tests_its_modulus_for_primality_once(monkeypatch):
     tested = []
 
@@ -113,6 +143,11 @@ def test_from_text_tests_its_modulus_for_primality_once(monkeypatch):
     ("7 3 1 6", "vector line declares t=3 but has 2 coordinates"),
     ("7 2 1 7", "vector coordinate outside [0, 7): '7 2 1 7'"),
     ("7 2 -1 0", "vector coordinate outside [0, 7): '7 2 -1 0'"),
+    ("7 3 0 8 1", "vector coordinate outside [0, 7): '7 3 0 8 1'"),
+    ("7 3 6 0 -100", "vector coordinate outside [0, 7): '7 3 6 0 -100'"),
+    ("7 2 1 1.0", "non-integer token in vector line: '7 2 1 1.0'"),
+    ("7 x 1 1", "non-integer token in vector line: '7 x 1 1'"),
+    ("7 3 1 6 0 3", "vector line declares t=3 but has 4 coordinates"),
 ])
 def test_from_text_rejects_malformed_lines(line, message):
     with pytest.raises(FormatError) as exc:

@@ -122,12 +122,18 @@ def test_a_t_n_or_cap_that_is_not_an_int_is_a_parameter_error(call):
     lambda: baseline_bound(4.0, 3),
     lambda: new_bound(4, 3.0, 0),
     lambda: field_bound(4, 3.0),
+    lambda: find_witness(3, 4, 14, 1, 1, node_cap=2.5),
+    lambda: find_witness(3, 4, 14, 1, 1, node_cap=True),
+    lambda: find_witness(3, 4, 14, 1, 1, node_cap=1e7),
+    lambda: find_witness(3, 4, 14, 1, 1, node_cap="5"),
 ], ids=["witness-attempts", "witness-attempts-bool", "witness-jobs", "monte-carlo-trials", "sample-n",
-        "recommended-t", "two-color-t", "two-color-n", "paley-p", "baseline-t", "new-colors", "field-q"])
+        "recommended-t", "two-color-t", "two-color-n", "paley-p", "baseline-t", "new-colors", "field-q",
+        "witness-cap-fraction", "witness-cap-bool", "witness-cap-float", "witness-cap-str"])
 def test_a_count_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as TypeError or AttributeError, or to return:
-    a certificate for 2.0 jobs or True attempts, a record for 3.0 colors
-    or a q of 3.0."""
+    a certificate for 2.0 jobs, True attempts or a node cap of 1e7, a
+    record for 3.0 colors or a q of 3.0.  A node cap of 2.5 or True was
+    a cap error, "exceeded 2.5 nodes"."""
     with pytest.raises(ParameterError, match="must be an int"):
         call()
 
@@ -733,12 +739,50 @@ def test_hitting_set_on_incidence_masks_matches_the_list_search():
         cases.append((cliques, rng.randrange(m + 1)))
     cases += [attempt_cliques(n, seed, attempt)
               for n in (14, 20, 22, 24) for seed in range(1, 9) for attempt in (1, 2)]
+    # The packing bound is skipped at a node with nothing banned when d
+    # deleted plus (room - d) // smallest is within the budget.  Budgets
+    # where that sum equals the budget at depth d, or exceeds it by one.
+    for _ in range(100):
+        m = rng.randrange(2, 13)
+        cliques = [sum(1 << v for v in rng.sample(range(m), rng.randrange(2, min(m, 5) + 1)))
+                   for _ in range(rng.randrange(1, 12))]
+        room, smallest = max(cliques).bit_length(), min(map(int.bit_count, cliques))
+        for d in range(min(room, 4)):
+            bound = d + (room - d) // smallest
+            cases += [(cliques, bound), (cliques, bound - 1)]
+    # Pairwise disjoint: cut at the root when room // smallest exceeds the budget.
+    cases += [([0b11, 0b1100, 0b110000], 3), ([0b11, 0b1100, 0b110000], 2)]
+    # Mixed sizes whose smallest is below t.
+    for seed in range(1, 9):
+        cliques, budget = attempt_cliques(20, seed, 1)
+        cases.append((cliques + [0b11 << seed, 0b111 << 2 * seed], budget))
+    # An empty clique: no deletion meets it, so the bound is built, and
+    # cuts, at the root.
+    cases += [([0], 0), ([0b111, 0, 0b11000], 5), ([0b11, 0b1100, 0], 4)]
     for cliques, budget in cases:
         deleted, charged = reference_hitting_set(cliques, budget)
         assert _hitting_set(cliques, budget, charged) == deleted
         if charged > 1:
             with pytest.raises(ResourceCapError, match=f"exceeded {charged - 1} nodes"):
                 _hitting_set(cliques, budget, charged - 1)
+
+
+def test_the_packing_bound_is_built_only_where_it_can_cut(monkeypatch):
+    """A spy on _disjoint_packing over find_witness(3, 4, n, 200, s),
+    s = 1-40: no call at n = 14 and 147 at n = 20, where a search that
+    builds the bound at every node calls it 338 and 467 times.  The
+    digest pins the certificates, which the skip must not change."""
+    calls = []
+    real = moment._disjoint_packing
+    monkeypatch.setattr(moment, "_disjoint_packing", lambda frees: calls.append(1) or real(frees))
+    digest = hashlib.sha256()
+    for n, expected in ((14, 0), (20, 147)):
+        calls.clear()
+        for seed in range(1, 41):
+            cert = find_witness(3, 4, n, 200, seed)
+            digest.update(certificate_to_text(cert).encode())
+        assert len(calls) == expected, n
+    assert digest.hexdigest() == "a80324d3f34dd8b434adfc94bb1e22e6f7acdd14c79f643233ae02f4f3bfacdf"
 
 
 def test_find_witness_searches_are_capped():
