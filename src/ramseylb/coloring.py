@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, FormatError, ParameterError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 from .isotropic import IsotropicSet
-from .rng import derive_seed, make_rng, pair_coin
+from .rng import _checked, derive_seed, make_rng, pair_coin
 
 FORMAT_MAGIC = "ramsey-coloring 1"
 # An integer as str() spells it, and what int() reads in a token but str()
@@ -254,6 +254,9 @@ class ConstructionParams:
 
     def __post_init__(self) -> None:
         _check_construction(self.modulus.q, self.t, self.n)
+        # The provenance line records the seed, even if no coin is flipped.
+        _require_ints(seed=self.seed)
+        _checked(self.seed)
 
 
 def _check_construction(q: int, t: int, n: int) -> None:

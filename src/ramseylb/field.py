@@ -12,11 +12,12 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError, _require_ints
 
 
 def is_prime(n: int) -> bool:
     """Trial division, adequate for desk-scale moduli."""
+    _require_ints(n=n)
     if n < 2:
         return False
     if n % 2 == 0:

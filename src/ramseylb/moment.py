@@ -87,11 +87,11 @@ def _moment_ground(q: int, t: int, p) -> IsotropicSet:
 
 def _clique_table(
     ground: IsotropicSet, t: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, list[int]]]]:
+) -> tuple[list[tuple[int, int]], list[tuple[tuple[int, ...], list[int]]]]:
     """The distinct index pairs (a, b), a < b, of all potential t-cliques,
     each once; and each potential clique, in the lexicographic order of
-    its ground-set indices, as the bitmask of those indices with the
-    positions of its C(t, 2) pairs in that list.
+    its ground-set indices, as the ascending tuple of those indices with
+    the positions of its C(t, 2) pairs in that list.
 
     A clique is monochromatic when the coins on its pairs agree, so these
     pairs are all that either estimator flips.
@@ -100,7 +100,7 @@ def _clique_table(
     table = []
     for ids in _orthogonal_tuples(ground, t, DEFAULT_NODE_CAP):
         js = [position.setdefault(pr, len(position)) for pr in itertools.combinations(ids, 2)]
-        table.append((sum(1 << i for i in ids), js))
+        table.append((ids, js))
     return list(position), table
 
 
@@ -175,12 +175,15 @@ def exact_mono_expectation(q: int, t: int, p: Union[Fraction, float, int]) -> Fr
     _, table = _clique_table(ground, t)
     if not table:
         return Fraction(0)
+    # Containment of each clique's mask in each subset, not the Monte Carlo
+    # estimator's incidence, decides survival, so each checks the other.
+    masks = [sum(1 << i for i in ids) for ids, _ in table]
     columns: dict[int, tuple[list[int], list[int]]] = {}
     counts: dict[int, tuple[int, int]] = {}  # live set -> (u, count)
     buckets: dict[tuple[int, int], int] = {}  # (|S|, u) -> summed count
     for smask in range(1 << m):
         live = 0
-        for pos, (cm, _) in enumerate(table):
+        for pos, cm in enumerate(masks):
             if cm & smask == cm:
                 live |= 1 << pos
         if not live:
@@ -229,12 +232,7 @@ def monte_carlo_mono_count(
     # without[v]: the table positions of the cliques that avoid vertex v,
     # as a bitmask; a trial's live cliques avoid every dropped vertex.
     every = (1 << len(table)) - 1
-    without = [every] * len(ground)
-    for pos, (mask, _) in enumerate(table):
-        while mask:
-            low = mask & -mask
-            without[low.bit_length() - 1] ^= 1 << pos
-            mask ^= low
+    without = [every ^ th for th in _incidence([ids for ids, _ in table], len(ground))]
     counts = []
     for k in range(n_trials):
         subset = bernoulli_subset(ground, threshold, make_rng(derive_seed(seed, "mc-subset", k)))
@@ -334,23 +332,21 @@ def _disjoint_packing(masks: list[int]) -> int:
     return packed
 
 
-def _incidence(cliques: list[int]) -> list[int]:
-    """through[v], the positions in cliques of the masks holding vertex
-    v, as a bitmask.  Built as one bit array per vertex, so the time is
-    linear in the cliques' vertices and not in their positions."""
-    rows = [bytearray((len(cliques) + 7) >> 3) for _ in range(max(cliques, default=0).bit_length())]
-    for pos, mask in enumerate(cliques):
+def _incidence(cliques: list[tuple[int, ...]], room: int) -> list[int]:
+    """through[v], v in [0, room): the positions in cliques of the vertex
+    tuples holding v, as a bitmask.  One bit array per vertex and one bit
+    set per (clique, vertex), so linear in the cliques' vertices."""
+    rows = [bytearray((len(cliques) + 7) >> 3) for _ in range(room)]
+    for pos, verts in enumerate(cliques):
         byte, bit = pos >> 3, 1 << (pos & 7)
-        while mask:
-            low = mask & -mask
-            rows[low.bit_length() - 1][byte] |= bit
-            mask ^= low
+        for v in verts:
+            rows[v][byte] |= bit
     return [int.from_bytes(row, "little") for row in rows]
 
 
-def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
-    """A vertex mask of at most budget vertices that meets every clique
-    mask, or None when there is none.
+def _hitting_set(cliques: list[tuple[int, ...]], budget: int, cap: int) -> int | None:
+    """A vertex mask of at most budget vertices that meets every clique,
+    each the ascending tuple of its vertices, or None when there is none.
 
     Exact depth-first branch and bound.  A node takes the free vertex in
     the most open cliques (lowest index on ties) and branches on
@@ -375,9 +371,11 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
     Nodes are charged before this test, so the result, every charge and
     every cap error are those of the search that always builds it.
     """
-    through = _incidence(cliques)
-    room = len(through)
-    smallest = min(map(int.bit_count, cliques), default=0)
+    room = max((verts[-1] + 1 for verts in cliques if verts), default=0)
+    through = _incidence(cliques, room)
+    smallest = min(map(len, cliques), default=0)
+    bits = [1 << v for v in range(room)]
+    masks = [sum(map(bits.__getitem__, verts)) for verts in cliques]
     visited = 0
     stack = [(0, 0, (1 << len(cliques)) - 1)]  # (deleted, banned, open positions)
     while stack:
@@ -392,7 +390,7 @@ def _hitting_set(cliques: list[int], budget: int, cap: int) -> int | None:
             # One byte per position, 1 where the clique there is open: the
             # mask's binary digits, lowest first, as their values.
             is_open = format(open_, "b")[::-1].encode().translate(_UNDIGITS)
-            frees = sorted((c & ~banned for c in itertools.compress(cliques, is_open)), key=int.bit_count)
+            frees = sorted((c & ~banned for c in itertools.compress(masks, is_open)), key=int.bit_count)
             if not frees[0] or d + _disjoint_packing(frees) > budget:
                 continue
         counts = [(th & open_).bit_count() for th in through]
@@ -418,15 +416,6 @@ def _witness_ground(q: int, t: int) -> IsotropicSet:
     return enumerate_isotropic(PrimeModulus(q), t)
 
 
-def _clique_number(col: EdgeColoring, color: int, node_cap: int) -> int:
-    """The size of a maximum clique of one color class, by the max-clique
-    search in the class's own vertex order.  A maximum clique's size does
-    not depend on that order, so certify, which stores only sizes, skips
-    the smallest-last order and relabel that max_monochromatic_clique
-    pays for so that verify prints a pinned witness."""
-    return _max_clique_mask(col.color_class_bitsets(color), node_cap).bit_count()
-
-
 def _run_attempt(
     ground: IsotropicSet, n: int, seed: int, attempt: int, node_cap: int
 ) -> WitnessCertificate | AttemptFailure:
@@ -447,21 +436,25 @@ def _run_attempt(
     m = min(len(ground), 2 * n)
     sample = sample_distinct(ground, m, make_rng(sk))
     col = build_field_coloring(ConstructionParams(ground.modulus, t, sk, m), sample)
-    bits = [1 << v for v in range(m)]
-    listed = [
-        (c, sum(map(bits.__getitem__, verts)))
-        for c in range(1, q + 2)
-        for verts in _k_cliques(col.color_class_bitsets(c), t, node_cap, "monochromatic clique listing")
-    ]
-    deleted = _hitting_set([mask for _, mask in listed], m - n, node_cap)
+    classes = [col.color_class_bitsets(c) for c in range(1, q + 2)]
+    listed = [(c, verts) for c, adj in enumerate(classes, start=1)
+              for verts in _k_cliques(adj, t, node_cap, "monochromatic clique listing")]
+    deleted = _hitting_set([verts for _, verts in listed], m - n, node_cap)
+    # A maximum clique's size does not depend on vertex order, so certify,
+    # which stores only sizes, searches each class in its own order and pays
+    # for no smallest-last order or relabel (verify's printed witnesses do).
     if deleted is None:
         # Deleting every vertex after the first n would have met every
-        # clique, so one of them lies within the first n.
-        color = min(c for c, mask in listed if mask < 1 << n)
-        return AttemptFailure(attempt, color, _clique_number(col.induced(range(n)), color, node_cap))
+        # clique, so one lies within the first n.  _k_cliques lists each
+        # clique's vertices ascending, so its last vertex is its highest.
+        color = min(c for c, verts in listed if verts[-1] < n)
+        # The class on the first n vertices, as the coloring induced on them has it.
+        first = (1 << n) - 1
+        size = _max_clique_mask([a & first for a in classes[color - 1][:n]], node_cap).bit_count()
+        return AttemptFailure(attempt, color, size)
     keep = [i for i in range(m) if not deleted >> i & 1][:n]
     kept_col = replace(col.induced(keep), provenance=(_field_line(q, t, n, sk),))
-    sizes = tuple(_clique_number(kept_col, c, node_cap) for c in range(1, q + 2))
+    sizes = tuple(_max_clique_mask(kept_col.color_class_bitsets(c), node_cap).bit_count() for c in range(1, q + 2))
     assert all(s < t for s in sizes), "deletion left a monochromatic K_t"
     kept = tuple(sample[i] for i in keep)
     return WitnessCertificate(q, t, q + 1, n, seed, attempt, kept, kept_col, sizes, "pass")
@@ -511,7 +504,7 @@ def find_witness(
     in the calling process.  The lowest successful attempt index always
     wins, making the outcome identical to a sequential run.
     """
-    _require_ints(max_attempts=max_attempts, jobs=jobs, node_cap=node_cap)
+    _require_ints(max_attempts=max_attempts, jobs=jobs, node_cap=node_cap, seed=seed)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
     if jobs < 1:

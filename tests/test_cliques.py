@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import networkx as nx
 import pytest
@@ -28,7 +29,7 @@ from ramseylb.cliques import (
 from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
 from ramseylb.compose import blowup_product
 from ramseylb.errors import ParameterError, ResourceCapError
-from ramseylb.field import FieldVector, PrimeModulus, dot, rank
+from ramseylb.field import FieldVector, PrimeModulus, dot, is_prime, rank
 from ramseylb.isotropic import DEFAULT_ENUM_CAP, IsotropicSet, enumerate_isotropic, sample_distinct
 from ramseylb.rng import make_rng
 
@@ -853,6 +854,21 @@ _PALEY_5 = build_paley(5)
 _PALEY_13 = build_paley(13)
 
 
+def _within_a_second(call):
+    """call() under a one-second alarm, so a call that never returns
+    fails with TimeoutError instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("call", [
     lambda: integer_root(16.0, 2),
     lambda: integer_root(16, 2.0),
@@ -868,13 +884,18 @@ _PALEY_13 = build_paley(13)
     lambda: max_monochromatic_clique(_PALEY_13, 1, cap=None),
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=1e7),
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=None),
+    lambda: is_prime(2.0),
+    lambda: is_prime(float("nan")),
+    lambda: _within_a_second(lambda: is_prime(float("inf"))),
 ], ids=["root-n", "root-k", "rank-count-t", "gram-det-s", "max-clique-color", "induced-index",
         "potential-t", "bitsets-color", "max-clique-cap-float", "max-clique-upper-fraction",
-        "max-clique-upper-bool", "max-clique-cap-none", "potential-cap-float", "potential-cap-none"])
+        "max-clique-upper-bool", "max-clique-cap-none", "potential-cap-float", "potential-cap-none",
+        "prime-float", "prime-nan", "prime-inf"])
 def test_an_argument_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as AttributeError or TypeError, or to return:
     4.0 for a root, 177147.0 for a count, 1008 cliques for t = 4.0 or for
-    a cap of 1e7, color 1's class for True, and a witness for a cap of
-    1e7 or an upper bound of 2.5 or True."""
+    a cap of 1e7, color 1's class for True, a witness for a cap of 1e7 or
+    an upper bound of 2.5 or True, and True for is_prime(2.0) and for a
+    NaN.  is_prime of an infinity never returned."""
     with pytest.raises(ParameterError, match="must be an int"):
         call()

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import statistics
 import time
 from concurrent.futures import Future
@@ -91,6 +92,19 @@ def test_seeds_that_are_not_ints_are_parameter_errors():
         monte_carlo_mono_count(3, 4, 5, Fraction(1, 2), seed=1.0)
     with pytest.raises(ParameterError):
         find_witness(3, 4, 14, 1, seed=1.5)
+    # A bool seed used to give a certificate whose text says seed=True,
+    # which reverify_text refused.
+    with pytest.raises(ParameterError, match="^seed=True must be an int$"):
+        find_witness(3, 4, 14, 5, True)
+    # A build whose pair has a nonzero product flips no coin, so these
+    # seeds used to reach a provenance line that field_provenance cannot
+    # read back, or one outside the seeds' 64 bits.
+    ground = enumerate_isotropic(PrimeModulus(3), 4)
+    pair = next(pr for pr in itertools.combinations(ground.vectors, 2) if dot(*pr) != 0)
+    for bad, message in ((-1, "seed -1 outside"), (True, "seed=True must be an int"),
+                         (1.5, "seed=1.5 must be an int"), (2**64, f"seed {2**64} outside")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            build_field_coloring(ConstructionParams(PrimeModulus(3), 4, bad, 2), pair)
 
 
 @pytest.mark.parametrize("call", [
@@ -241,7 +255,7 @@ def per_assignment_exact_mono_expectation(q, t, p):
     _, table = moment._clique_table(ground, t)
     if not table:
         return Fraction(0)
-    cliques = [(mask, sum(1 << j for j in js)) for mask, js in table]
+    cliques = [(sum(1 << i for i in ids), sum(1 << j for j in js)) for ids, js in table]
     total = Fraction(0)
     for smask in range(1 << m):
         live = [pb for cm, pb in cliques if cm & smask == cm]
@@ -668,6 +682,56 @@ def test_find_witness_caps_pool_workers_at_the_cpu_count(monkeypatch):
     assert sizes == [2, 3]
 
 
+def reference_incidence(cliques, room):
+    """through[v] for v in [0, room), one (clique, vertex) at a time."""
+    through = [0] * room
+    for pos, verts in enumerate(cliques):
+        for v in verts:
+            through[v] |= 1 << pos
+    return through
+
+
+def test_incidence_matches_one_bit_at_a_time():
+    """Random ascending tuples, empty and repeated ones included, with
+    room at and past one beyond the highest vertex; and more than 8
+    cliques, so positions cross the bit arrays' byte boundaries."""
+    rng = random.Random(31)
+    cases = [([], 0), ([], 3), ([()], 0), ([(), ()], 2), ([(0, 2), (0, 2), (1,)], 3), ([(4,)] * 20, 7)]
+    for _ in range(300):
+        m = rng.randrange(1, 16)
+        cliques = [tuple(sorted(rng.sample(range(m), rng.randrange(min(m, 5) + 1))))
+                   for _ in range(rng.randrange(30))]
+        cliques += rng.sample(cliques, min(len(cliques), rng.randrange(3)))
+        room = max((verts[-1] + 1 for verts in cliques if verts), default=0)
+        cases += [(cliques, room), (cliques, room + rng.randrange(1, 4))]
+    for cliques, room in cases:
+        assert moment._incidence(cliques, room) == reference_incidence(cliques, room)
+
+
+def test_a_failed_attempt_searches_its_class_on_the_first_n_vertices(monkeypatch):
+    """A failed attempt makes one max-clique search, on its color's class
+    restricted to the first n sampled vertices: exactly the bitsets of
+    the attempt's coloring induced on them.  A search of the whole
+    sample's class reports the same sizes on every failure the other
+    tests of this module reach, so only its input tells the two apart."""
+    seen = []
+    real = moment._max_clique_mask
+    monkeypatch.setattr(moment, "_max_clique_mask", lambda adj, cap: seen.append(list(adj)) or real(adj, cap))
+    checked = 0
+    for q, t, n in ((3, 4, 24), (13, 2, 10), (7, 3, 20)):
+        for seed in range(1, 6):
+            seen.clear()
+            result = find_witness(q, t, n, 3, seed)
+            if isinstance(result, WitnessSearchFailure):
+                assert len(seen) == len(result.failures)
+                for f, adj in zip(result.failures, seen):
+                    col = attempt_coloring(q, t, n, seed, f.attempt)
+                    assert col.n > n
+                    assert adj == col.induced(range(n)).color_class_bitsets(f.color)
+                    checked += 1
+    assert checked >= 20
+
+
 def test_hitting_set_is_exact_against_subset_listing():
     rng = random.Random(5)
     for _ in range(150):
@@ -682,12 +746,18 @@ def test_hitting_set_is_exact_against_subset_listing():
             if all(c & sum(1 << v for v in sub) for c in cliques)
         )
         for budget in range(m):
-            got = _hitting_set(cliques, budget, 10**6)
+            got = _hitting_set(ascending(cliques), budget, 10**6)
             if budget < best:
                 assert got is None
             else:
                 assert got is not None and got.bit_count() <= budget
                 assert all(c & got for c in cliques)
+
+
+def ascending(masks):
+    """Each clique mask as the ascending tuple of its vertices, the form
+    _k_cliques lists and _hitting_set takes."""
+    return [tuple(v for v in range(mask.bit_length()) if mask >> v & 1) for mask in masks]
 
 
 def reference_hitting_set(cliques, budget):
@@ -761,10 +831,10 @@ def test_hitting_set_on_incidence_masks_matches_the_list_search():
     cases += [([0], 0), ([0b111, 0, 0b11000], 5), ([0b11, 0b1100, 0], 4)]
     for cliques, budget in cases:
         deleted, charged = reference_hitting_set(cliques, budget)
-        assert _hitting_set(cliques, budget, charged) == deleted
+        assert _hitting_set(ascending(cliques), budget, charged) == deleted
         if charged > 1:
             with pytest.raises(ResourceCapError, match=f"exceeded {charged - 1} nodes"):
-                _hitting_set(cliques, budget, charged - 1)
+                _hitting_set(ascending(cliques), budget, charged - 1)
 
 
 def test_the_packing_bound_is_built_only_where_it_can_cut(monkeypatch):
@@ -789,9 +859,9 @@ def test_find_witness_searches_are_capped():
     # every triple of 9 vertices: a hitting set must leave at most 2 of
     # them, so 7 are needed, while at most 3 triples are disjoint
     triples = [sum(1 << v for v in sub) for sub in itertools.combinations(range(9), 3)]
-    assert _hitting_set(triples, 6, 10**6) is None
+    assert _hitting_set(ascending(triples), 6, 10**6) is None
     with pytest.raises(ResourceCapError):
-        _hitting_set(triples, 6, 50)
+        _hitting_set(ascending(triples), 6, 50)
     with pytest.raises(ResourceCapError):
         find_witness(3, 4, 20, 1, seed=1, node_cap=10)
 
