@@ -83,6 +83,9 @@ def integer_root(n: int, k: int) -> int:
         raise ParameterError("radicand must be non-negative")
     if k == 1 or n < 2:
         return n
+    # 1 <= n < 2^k, so the root is 1, and no power of 2^k is formed.
+    if n.bit_length() <= k:
+        return 1
     x = _root_overestimate(n, k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

@@ -26,7 +26,7 @@ from .coloring import (
     field_provenance,
 )
 from .compose import blowup_product
-from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError
+from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_node_cap
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
 # sample_distinct is not called here; perfbench wraps ramseylb.cli.sample_distinct.
 from .isotropic import (  # noqa: F401
@@ -159,8 +159,7 @@ def _cmd_verify(args) -> int:
         raise ParameterError(f"target {args.target} must be positive")
     # Checked here as well as in max_monochromatic_clique, so that a bad cap
     # prints no CSV header.
-    if args.cap < 1:
-        raise ParameterError(f"node cap {args.cap} must be positive")
+    _require_node_cap(args.cap)
     text = _read(args.coloring)
     named = None
     if text.startswith(CERTIFICATE_MAGIC):

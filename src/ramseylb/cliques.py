@@ -26,12 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bounds import MAX_RADICAND_BITS
 from .coloring import EdgeColoring
-from .errors import ParameterError, ResourceCapError, _require_ints
+from .errors import ParameterError, ResourceCapError, _require_ints, _require_node_cap
 from .field import FieldVector, PrimeModulus, _eliminate, _scalar_products, dot, is_prime, rank
 from .isotropic import IsotropicSet
 
 DEFAULT_NODE_CAP = 10**7
+
+# The largest Gram matrix clique_gram_det eliminates, s x s; a larger s
+# raises ResourceCapError before the matrix is built.  At q = 10,007 the
+# elimination took 0.08 s at s = 128 and 0.8 s at s = 256 on a 2-core VM.
+# The Gram bounds need s = t <= 20, and the package's tests at most 40.
+MAX_GRAM_SIZE = 2**7
 
 
 @dataclass(frozen=True)
@@ -225,13 +232,11 @@ def max_monochromatic_clique(
     Euler's criterion d^((q-1)/2) = -1 decides, no t-clique of color i
     exists, and so none larger either.
     """
-    _require_ints(cap=cap)
+    _require_node_cap(cap)
     if upper is not None:
         _require_ints(upper=upper)
-    if cap < 1:
-        raise ParameterError(f"node cap {cap} must be positive")
-    if upper is not None and upper < 1:
-        raise ParameterError(f"upper bound {upper} must be positive")
+        if upper < 1:
+            raise ParameterError(f"upper bound {upper} must be positive")
     adj = coloring.color_class_bitsets(color)  # which checks the color
     order = _degeneracy_order(adj, coloring.n)
     mask = _max_clique_mask(_relabel(adj, order), cap, upper)
@@ -251,12 +256,8 @@ def _k_cliques(adj: list[int], k: int, cap: int, what: str) -> list[tuple[int, .
     each node of the search tree, the root, every chosen prefix and
     every k-clique, counts against cap.  A prefix with fewer candidates
     than it still needs is counted but not entered, and the k-cliques
-    are emitted by their parent, one count each.
+    are emitted by their parent, one count each; k and cap are at least 1.
     """
-    if k < 1:
-        raise ParameterError("clique size must be positive")
-    if cap < 1:
-        raise ParameterError(f"node cap {cap} must be positive")
     found: list[tuple[int, ...]] = []
     visited = 1
 
@@ -328,6 +329,8 @@ def clique_gram_det(i: int, s: int, modulus: PrimeModulus) -> int:
         raise ParameterError(f"color value {i} outside [1, {q - 1}]")
     if s < 1:
         raise ParameterError("matrix size must be positive")
+    if s > MAX_GRAM_SIZE:
+        raise ResourceCapError(f"matrix size {s} exceeds the cap {MAX_GRAM_SIZE}")
     mat = [[0 if r == c else i for c in range(s)] for r in range(s)]
     return _eliminate(mat, q)[1]
 
@@ -381,7 +384,10 @@ def enumerate_potential_cliques(
 ) -> list[PotentialClique]:
     """All t-subsets of the ground set with pairwise product zero, in
     the lexicographic order of _orthogonal_tuples."""
-    _require_ints(t=t, cap=cap)
+    _require_ints(t=t)
+    if t < 1:
+        raise ParameterError("clique size must be positive")
+    _require_node_cap(cap)
     vecs = ground.vectors
     return [PotentialClique(tuple(vecs[k] for k in ids)) for ids in _orthogonal_tuples(ground, t, cap)]
 
@@ -390,7 +396,8 @@ def rank_count_bound(q: int, t: int, r: int) -> int:
     """q^(2tr - r(3r-1)/2), the ordered upper bound on rank-r potential cliques.
 
     Ordered convention: the first r vectors are linearly independent and
-    the remaining t-r lie in their span.
+    the remaining t-r lie in their span.  A power of more than
+    MAX_RADICAND_BITS bits raises ResourceCapError before it is formed.
     """
     _require_ints(q=q, t=t, r=r)
     if not is_prime(q):
@@ -399,4 +406,7 @@ def rank_count_bound(q: int, t: int, r: int) -> int:
         raise ParameterError(f"rank {r} outside [0, {t}]")
     exponent = 2 * t * r - r * (3 * r - 1) // 2
     assert exponent >= 0
+    bits = exponent * q.bit_length()
+    if bits > MAX_RADICAND_BITS:
+        raise ResourceCapError(f"count needs a {bits}-bit power, above the cap of {MAX_RADICAND_BITS} bits")
     return q**exponent

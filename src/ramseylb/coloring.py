@@ -110,8 +110,7 @@ class EdgeColoring:
 
     def __post_init__(self) -> None:
         n, k = self.n, self.num_colors
-        if type(n) is not int or type(k) is not int:
-            raise ParameterError(f"n and num_colors must be int: {n!r}, {k!r}")
+        _require_ints(n=n, num_colors=k)
         if n < 1:
             raise ParameterError("a coloring needs at least one vertex")
         if k < 1:
@@ -205,6 +204,8 @@ class EdgeColoring:
 
     @classmethod
     def from_text(cls, text: str) -> "EdgeColoring":
+        if not isinstance(text, str):
+            raise FormatError(f"coloring text must be a str, not {type(text).__name__}")
         lines = text.splitlines()
         if not lines or lines[0] != FORMAT_MAGIC:
             raise FormatError("missing coloring magic line")
@@ -255,13 +256,11 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         _check_construction(self.modulus.q, self.t, self.n)
         # The provenance line records the seed, even if no coin is flipped.
-        _require_ints(seed=self.seed)
         _checked(self.seed)
 
 
 def _check_construction(q: int, t: int, n: int) -> None:
-    if type(t) is not int or type(n) is not int:
-        raise ParameterError(f"dimension t={t!r} and vertex count n={n!r} must be ints")
+    _require_ints(t=t, n=n)
     if t < 1 or t % q == 0:
         raise ParameterError(f"dimension t={t} must be nonzero mod q={q}")
     if n < 2:

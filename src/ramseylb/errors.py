@@ -36,3 +36,10 @@ def _require_ints(**values: object) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise ParameterError(f"{name}={value!r} must be an int")
+
+
+def _require_node_cap(cap: object) -> None:
+    """Raise ParameterError unless a search node cap is an int >= 1."""
+    _require_ints(cap=cap)
+    if cap < 1:
+        raise ParameterError(f"node cap {cap} must be positive")

@@ -37,8 +37,7 @@ class PrimeModulus:
     q: int
 
     def __post_init__(self) -> None:
-        if type(self.q) is not int:
-            raise ParameterError(f"modulus must be int: {self.q!r}")
+        _require_ints(q=self.q)
         if not is_prime(self.q):
             raise ParameterError(f"modulus must be prime, got {self.q}")
 
@@ -99,6 +98,8 @@ class FieldVector:
     def from_text(cls, line: str, modulus: PrimeModulus | None = None) -> "FieldVector":
         """The vector a ``q t c1 ... ct`` line names.  A modulus given for
         the line's q spares q another primality test."""
+        if not isinstance(line, str):
+            raise FormatError(f"vector line must be a str, not {type(line).__name__}")
         parts = line.split()
         if len(parts) < 3:
             raise FormatError(f"vector line needs q, t and coordinates: {line!r}")

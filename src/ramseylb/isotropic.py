@@ -28,6 +28,7 @@ class IsotropicSet:
         self-product (kept on the vector); then duplicates, by the size
         of the set of coordinate tuples."""
         q, dimension = self.modulus.q, self.dimension
+        _require_ints(dimension=dimension)
         for v in self.vectors:
             if v.modulus.q != q or len(v.coords) != dimension:
                 raise DimensionError("vector does not match the set's modulus or dimension")
@@ -47,16 +48,15 @@ class IsotropicSet:
 def _check_enumeration_cap(q: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """Raise ResourceCapError when F_q^t has more than cap vectors.  Callers
     run this before q's primality test, whose trial division takes time
-    growing as sqrt(q), and leave a q that is not an int above 1 to
-    PrimeModulus.  q^t >= 2^t is over the cap once t passes the cap's bit
-    length; the power is then not computed, and no message writes it out."""
-    if type(t) is not int or type(cap) is not int:
-        raise ParameterError(f"dimension t={t!r} and enumeration cap {cap!r} must be ints")
+    growing as sqrt(q), and leave a q below 2 to PrimeModulus.  q^t >= 2^t
+    is over the cap once t passes the cap's bit length; the power is then
+    not computed, and no message writes it out."""
+    _require_ints(q=q, t=t, cap=cap)
     if t < 1:
         raise ParameterError("dimension t must be positive")
     if cap < 1:
         raise ParameterError(f"enumeration cap {cap} must be positive")
-    if type(q) is int and q > 1 and (t > cap.bit_length() or q**t > cap):
+    if q > 1 and (t > cap.bit_length() or q**t > cap):
         raise ResourceCapError(f"q^t = {q}^{t} exceeds enumeration cap {cap}")
 
 

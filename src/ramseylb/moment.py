@@ -42,7 +42,9 @@ from .coloring import (
     _INT, _UNDIGITS, ConstructionParams, EdgeColoring, _check_construction, _check_pairs, _field_line,
     _ints, build_field_coloring, pair_identity,
 )
-from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_ints
+from .errors import (
+    CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_ints, _require_node_cap,
+)
 from .field import FieldVector, PrimeModulus, _text_modulus
 from .isotropic import (
     IsotropicSet,
@@ -53,12 +55,18 @@ from .isotropic import (
     enumerate_isotropic,
     sample_distinct,
 )
-from .rng import derive_seed, make_rng, pair_coin
+from .rng import _checked, derive_seed, make_rng, pair_coin
 
 CERTIFICATE_MAGIC = "ramsey-certificate 1"
 
 # exact_mono_expectation enumerates every subset of the ground set.
 _SUBSET_CAP = 20
+
+# The most trials monte_carlo_mono_count runs; more raise ResourceCapError
+# before the ground set is enumerated.  At (q, t) = (3, 4) and p = 1/2,
+# 30,000 trials took 2.6 s on a 2-core VM, so the cap is about 9 s there.
+# The package's tests run at most 10,000 and its benchmark 300.
+MAX_TRIALS = 10**5
 
 
 def recommended_n(q: int, t: int, slack: SlackLike = 0) -> int:
@@ -75,6 +83,7 @@ def _moment_ground(q: int, t: int, p) -> IsotropicSet:
     """The ground set of F_q^t, once the estimators' shared arguments are
     checked: t >= 2, as they count cliques whose pairs' coins all agree,
     p in [0, 1], the enumeration cap, and last q's primality."""
+    _require_ints(t=t)
     if t < 2:
         raise ParameterError(f"t={t}: a monochromatic clique needs t >= 2")
     # Compared before any conversion, which raises ValueError for NaN and
@@ -222,6 +231,8 @@ def monte_carlo_mono_count(
     _require_ints(n_trials=n_trials)
     if n_trials < 1:
         raise ParameterError("need at least one trial")
+    if n_trials > MAX_TRIALS:
+        raise ResourceCapError(f"{n_trials} trials exceed the cap of {MAX_TRIALS}")
     ground = _moment_ground(q, t, p)
     # Every trial draws against the same float, whose comparisons equal
     # those with p, and which bernoulli_subset takes as it is.
@@ -405,14 +416,14 @@ def _hitting_set(cliques: list[tuple[int, ...]], budget: int, cap: int) -> int |
     return None
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _witness_ground(q: int, t: int) -> IsotropicSet:
     """The ground set of F_q^t, enumerated once per process for the
     latest (q, t) that find_witness was asked for, and only for it: a
     witness request at another (q, t) replaces it, and no other caller
     holds a ground set past its call.  Its vectors keep their checks and
     text forms (see FieldVector), so every attempt's build pays for them
-    once.  Typed, so that 3.0 or True is not served the set of 3 or 1."""
+    once."""
     return enumerate_isotropic(PrimeModulus(q), t)
 
 
@@ -504,16 +515,16 @@ def find_witness(
     in the calling process.  The lowest successful attempt index always
     wins, making the outcome identical to a sequential run.
     """
-    _require_ints(max_attempts=max_attempts, jobs=jobs, node_cap=node_cap, seed=seed)
+    _checked(seed)
+    _require_ints(q=q, max_attempts=max_attempts, jobs=jobs)
     if max_attempts < 1:
         raise ParameterError("need at least one attempt")
     if jobs < 1:
         raise ParameterError("need at least one job")
-    if node_cap < 1:
-        raise ParameterError(f"node cap {node_cap} must be positive")
+    _require_node_cap(node_cap)
     # t and n as every attempt's coloring checks them, the enumeration cap,
-    # and last q's primality, which a q that is not an int above 1 fails at once.
-    if type(q) is int and q > 1:
+    # and last q's primality, which a q below 2 fails at once.
+    if q > 1:
         _check_construction(q, t, n)
         _check_enumeration_cap(q, t)
     PrimeModulus(q)
@@ -594,6 +605,8 @@ def certificate_from_text(text: str) -> WitnessCertificate:
     must render back to the text, coloring block included.  Before any
     vector is parsed, q + 1 colors and as many sizes, and every vector
     line starting "q t ", make the file pay in length for q's primality test."""
+    if not isinstance(text, str):
+        raise FormatError(f"certificate text must be a str, not {type(text).__name__}")
     m = _HEADER.match(text)
     ints = m and _ints([*m.groups()[:6], *m[7].split()])
     if not ints:

@@ -12,16 +12,15 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_ints
 
 _SEED_LIMIT = 1 << 64
 
 
 def _checked(seed: int) -> int:
-    """The seed itself, when it is an int in [0, 2^64); seeds are never
-    reduced, so distinct seeds never share a stream."""
-    if not isinstance(seed, int):
-        raise ParameterError(f"seed {seed!r} is not an integer")
+    """The seed itself, when it is an int in [0, 2^64), a bool refused;
+    seeds are never reduced, so distinct seeds never share a stream."""
+    _require_ints(seed=seed)
     if not 0 <= seed < _SEED_LIMIT:
         raise ParameterError(f"seed {seed} outside [0, 2^64)")
     return seed

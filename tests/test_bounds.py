@@ -35,6 +35,14 @@ def test_integer_root_exhaustive_small():
             assert r**k <= n < (r + 1) ** k
 
 
+def test_integer_root_of_an_index_past_the_radicand_bits_is_one():
+    """n < 2^k gives 1 at once; a root index of 10^40 used to run Newton
+    steps from 2, forming 2^(10^40 - 1)."""
+    assert integer_root(10, 10**40) == 1
+    assert integer_root(2**64 - 1, 64) == 1
+    assert integer_root(2**64, 64) == 2
+
+
 def test_integer_root_big():
     n = 12345678901234567890123456789
     r = integer_root(n**7, 7)

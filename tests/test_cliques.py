@@ -14,6 +14,7 @@ from ramseylb.bounds import integer_root
 from ramseylb.cli import _construct_sample, _gram_bound
 from ramseylb.cliques import (
     DEFAULT_NODE_CAP,
+    MAX_GRAM_SIZE,
     PotentialClique,
     _degeneracy_order,
     _has_clique,
@@ -742,6 +743,18 @@ def test_rank_count_bound_examples():
     assert rank_count_bound(2, 4, 0) == 1
     assert rank_count_bound(2, 4, 2) == 2**11
     assert rank_count_bound(3, 4, 1) == 3**7
+
+
+def test_sizes_past_their_caps_are_resource_cap_errors():
+    """The Gram matrix is held to MAX_GRAM_SIZE rows, and the counting
+    bound's power to MAX_RADICAND_BITS bits, the cap of the bound
+    families: q = 2 has 2 bits, so 2^32767 is answered and 2^32769 is not."""
+    assert clique_gram_det(1, MAX_GRAM_SIZE, M3) == (MAX_GRAM_SIZE - 1) * (-1) ** (MAX_GRAM_SIZE - 1) % 3
+    with pytest.raises(ResourceCapError):
+        clique_gram_det(1, MAX_GRAM_SIZE + 1, M3)
+    assert rank_count_bound(2, 16384, 1) == 2**32767
+    with pytest.raises(ResourceCapError):
+        rank_count_bound(2, 16385, 1)
 
 
 def test_rank_count_bound_validation():

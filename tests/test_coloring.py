@@ -526,6 +526,10 @@ def test_file_format_rejects_malformed():
     for text in cases:
         with pytest.raises(FormatError):
             EdgeColoring.from_text(text)
+    # Not text at all: None used to raise AttributeError.
+    for text in (None, good.encode(), 5):
+        with pytest.raises(FormatError, match="^coloring text must be a str"):
+            EdgeColoring.from_text(text)
 
 
 def test_file_format_names_the_bad_data_line():

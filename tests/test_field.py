@@ -148,6 +148,8 @@ def test_from_text_tests_its_modulus_for_primality_once(monkeypatch):
     ("7 2 1 1.0", "non-integer token in vector line: '7 2 1 1.0'"),
     ("7 x 1 1", "non-integer token in vector line: '7 x 1 1'"),
     ("7 3 1 6 0 3", "vector line declares t=3 but has 4 coordinates"),
+    (None, "vector line must be a str, not NoneType"),
+    (b"7 2 1 1", "vector line must be a str, not bytes"),
 ])
 def test_from_text_rejects_malformed_lines(line, message):
     with pytest.raises(FormatError) as exc:

@@ -104,6 +104,9 @@ def test_isotropic_set_validation():
     v = FieldVector(M3, (0, 0, 0, 0))
     with pytest.raises(ParameterError):
         IsotropicSet(M3, 4, (v, v))
+    # 4.0 == 4, so the vectors' length check used to pass it.
+    with pytest.raises(ParameterError, match="^dimension=4.0 must be an int$"):
+        IsotropicSet(M3, 4.0, (v,))
 
 
 def test_sample_distinct_properties():

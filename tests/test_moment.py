@@ -24,6 +24,7 @@ from ramseylb.errors import CapacityError, FormatError, ParameterError, Resource
 from ramseylb.field import PrimeModulus, dot
 from ramseylb.isotropic import _isotropic_count, bernoulli_subset, enumerate_isotropic, sample_distinct
 from ramseylb.moment import (
+    MAX_TRIALS,
     MonteCarloEstimate,
     WitnessCertificate,
     WitnessSearchFailure,
@@ -87,6 +88,11 @@ def test_monte_carlo_needs_a_trial(trials):
         monte_carlo_mono_count(3, 4, trials, Fraction(1, 2), seed=1)
 
 
+def test_trials_past_the_cap_are_a_resource_cap_error():
+    with pytest.raises(ResourceCapError, match=f"exceed the cap of {MAX_TRIALS}$"):
+        monte_carlo_mono_count(3, 4, MAX_TRIALS + 1, Fraction(1, 2), seed=1)
+
+
 def test_seeds_that_are_not_ints_are_parameter_errors():
     with pytest.raises(ParameterError):
         monte_carlo_mono_count(3, 4, 5, Fraction(1, 2), seed=1.0)
@@ -96,6 +102,11 @@ def test_seeds_that_are_not_ints_are_parameter_errors():
     # which reverify_text refused.
     with pytest.raises(ParameterError, match="^seed=True must be an int$"):
         find_witness(3, 4, 14, 5, True)
+    # These used to write seed=True into a provenance line, or to run.
+    with pytest.raises(ParameterError, match="^seed=True must be an int$"):
+        build_two_color(4, 5, True)
+    with pytest.raises(ParameterError, match="^seed=True must be an int$"):
+        monte_carlo_mono_count(3, 4, 2, 0.5, True)
     # A build whose pair has a nonzero product flips no coin, so these
     # seeds used to reach a provenance line that field_provenance cannot
     # read back, or one outside the seeds' 64 bits.
@@ -119,7 +130,7 @@ def test_seeds_that_are_not_ints_are_parameter_errors():
 def test_a_t_n_or_cap_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as TypeError or AttributeError, or, for the
     parameters, to write a provenance line reading t=4.0."""
-    with pytest.raises(ParameterError, match="must be ints"):
+    with pytest.raises(ParameterError, match="must be an int"):
         call()
 
 
@@ -1081,6 +1092,10 @@ def test_reverify_rejects_a_seed_outside_64_bits():
 def test_reverify_text_rejects_garbage():
     assert not reverify_text("not a certificate\n")
     assert not reverify_text("")
+    # Text that is not a str used to raise TypeError from the header regex.
+    assert not reverify_text(b"x")
+    with pytest.raises(FormatError, match="^certificate text must be a str, not NoneType$"):
+        certificate_from_text(None)
 
 
 _EDITS = st.lists(

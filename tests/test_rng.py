@@ -36,9 +36,19 @@ def test_seeds_that_are_not_ints_are_rejected(seed):
         pair_coin(seed, "a|b")
 
 
-def test_bool_seeds_stay_ints():
-    assert pair_coin(True, "a|b") == pair_coin(1, "a|b")
-    assert derive_seed(False, "x") == derive_seed(0, "x")
+def test_bool_seeds_are_rejected():
+    """A seed is written into certificates and provenance lines, where
+    True would read seed=True, so a bool is refused like any non-int."""
+    for seed in (True, False):
+        message = f"^seed={seed} must be an int$"
+        with pytest.raises(ParameterError, match=message):
+            derive_seed(seed, "x")
+        with pytest.raises(ParameterError, match=message):
+            make_rng(seed)
+        # The kept coin state for the int 1 or 0 must not answer for the bool.
+        pair_coin(int(seed), "a|b")
+        with pytest.raises(ParameterError, match=message):
+            pair_coin(seed, "a|b")
 
 
 def reference_pair_coin(seed, identity):
