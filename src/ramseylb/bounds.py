@@ -24,8 +24,8 @@ SlackLike = Union[int, float, str, Fraction]
 # bound's value.  A root of a random power of this size took at most
 # 0.03 s on a 2-core VM, at root indices from 2 to 65,536, while the
 # tables of the package's tests and benchmark need a few hundred bits.
-# It also keeps the colors of a `bounds` table, whose baseline power
-# grows with them, small enough for the primality test of colors - 1.
+# It also caps the colors of a `bounds` table, whose baseline power grows
+# with them, before colors - 1 is tested for primality.
 MAX_RADICAND_BITS = 2**16
 
 TAG_CLASSICAL_2COLOR = "classical-2color"
@@ -95,7 +95,8 @@ def integer_root(n: int, k: int) -> int:
 
 
 def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:
-    """floor of a product of integer bases raised to rational exponents.
+    """floor of a product of integer bases raised to rational exponents;
+    a base that is not an exact int raises ParameterError.
 
     With d the exponents' common denominator, the d-th root is taken of
     the product of the powers b^(e d) with e > 0, at most 2^bits with
@@ -103,8 +104,9 @@ def floor_power_product(factors: Iterable[tuple[int, Fraction]]) -> int:
     When bits exceeds MAX_RADICAND_BITS, ResourceCapError is raised
     before any power is formed.
     """
-    fs = [(int(b), Fraction(e)) for b, e in factors]
+    fs = [(b, Fraction(e)) for b, e in factors]
     for b, _ in fs:
+        _require_ints(base=b)
         if b < 1:
             raise ParameterError("bases must be positive")
     d = 1

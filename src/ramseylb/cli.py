@@ -14,25 +14,23 @@ import sys
 from typing import Sequence
 
 from . import bounds as bounds_mod
-from .cliques import DEFAULT_NODE_CAP, clique_gram_det, max_monochromatic_clique
+from .cliques import DEFAULT_NODE_CAP, max_monochromatic_clique
 from .coloring import (
     MAX_PAIRS,
-    ConstructionParams,
     EdgeColoring,
-    _check_pairs,
+    _construct_sample,
     build_field_coloring,
     build_paley,
     build_two_color,
-    field_provenance,
 )
 from .compose import blowup_product
-from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_node_cap
-from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
-# sample_distinct is not called here; perfbench wraps ramseylb.cli.sample_distinct.
+from .errors import FormatError, ParameterError, ResourceCapError, _require_node_cap
+from .field import FieldVector, PrimeModulus, is_prime
+# sample_distinct and derive_seed are not called here; perfbench wraps
+# ramseylb.cli.sample_distinct and ramseylb.cli.derive_seed.
 from .isotropic import (  # noqa: F401
     DEFAULT_ENUM_CAP,
     _check_enumeration_cap,
-    _isotropic_coords,
     enumerate_isotropic,
     sample_distinct,
 )
@@ -44,7 +42,7 @@ from .moment import (
     find_witness,
     reverify_text,
 )
-from .rng import derive_seed, make_rng
+from .rng import derive_seed  # noqa: F401
 
 DEFAULT_SEED = 271828
 
@@ -76,29 +74,6 @@ def _cmd_enumerate(args) -> int:
     return _write(text, args.out, f"enumerate: q={args.q} t={args.t} count={len(ground)}")
 
 
-def _construct_sample(
-    q: int, t: int, n: int, seed: int, cap: int
-) -> tuple[ConstructionParams, list[tuple[int, ...]]]:
-    """The parameters of ``construct`` and the coordinate tuples of its
-    vertices: n distinct ground-set vectors of F_q^t, sampled under the seed.
-
-    The positions are drawn from range(|V|): random.sample reads only the
-    length of its population and the items at the positions it draws, so
-    these are the coordinates of the vectors sample_distinct draws from
-    the enumerated ground set; no vector is built.
-    """
-    _check_pairs(n)
-    _check_enumeration_cap(q, t, cap)
-    modulus = PrimeModulus(q)
-    if n < 0:
-        raise ParameterError("sample size must be non-negative")
-    ground = list(_isotropic_coords(q, t))
-    if n > len(ground):
-        raise CapacityError(f"requested {n} distinct vectors from a set of {len(ground)}")
-    picks = make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)
-    return ConstructionParams(modulus, t, seed, n), [ground[i] for i in picks]
-
-
 def _cmd_construct(args) -> int:
     params, coords = _construct_sample(args.q, args.t, args.n, args.seed, args.cap)
     verts = [FieldVector(params.modulus, c) for c in coords]
@@ -115,45 +90,6 @@ def _cmd_construct_paley(args) -> int:
     return _write(build_paley(args.p).to_text(), args.out, f"construct-paley: p={args.p}")
 
 
-def _gram_bound(q: int, t: int, color: int) -> int:
-    """The clique bound of a deterministic color of a field coloring at
-    (q, t) (see max_monochromatic_clique): t - 1 when q is odd and the
-    determinant of a t-clique's Gram matrix is a nonzero non-square mod q
-    by Euler's criterion; t otherwise."""
-    if q > 2:
-        d = clique_gram_det(color, t, PrimeModulus(q))
-        if d and pow(d, (q - 1) // 2, q) == q - 1:
-            return t - 1
-    return t
-
-
-def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
-    """Whether every edge of a color c in [1, q-1] joins two of the
-    vectors ``construct`` samples for (q, t, n, seed) whose product is c.
-
-    Then each such color class holds only cliques of vectors with
-    pairwise product c, and _gram_bound bounds their size (see
-    max_monochromatic_clique).  A request ``construct`` refuses means no.
-    """
-    try:
-        _, coords = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
-    except RamseyLBError:
-        return False
-    products = list(_scalar_products(coords, q))
-    if isinstance(products[0], bytes):
-        # One byte per product, so q <= 16 and every color fits a byte: the
-        # colors and the products must agree under a mask over [1, q - 1].
-        colors = b"".join(coloring.rows)
-        mask = colors.translate(bytes(1) + b"\xff" * (q - 1) + bytes(256 - q))
-        diff = int.from_bytes(colors, "little") ^ int.from_bytes(b"".join(products), "little")
-        return not diff & int.from_bytes(mask, "little")
-    # Each distinct (color, product) pair of the edges is checked once.
-    seen = set()
-    for row, prods in zip(coloring.rows, products):
-        seen.update(zip(row, prods))
-    return all(c >= q or c == d for c, d in seen)
-
-
 def _cmd_verify(args) -> int:
     if args.target < 1:
         raise ParameterError(f"target {args.target} must be positive")
@@ -161,29 +97,20 @@ def _cmd_verify(args) -> int:
     # prints no CSV header.
     _require_node_cap(args.cap)
     text = _read(args.coloring)
-    named = None
     if text.startswith(CERTIFICATE_MAGIC):
         coloring = certificate_from_text(text).coloring
     else:
         coloring = EdgeColoring.from_text(text)
-        named = field_provenance(coloring)
     # One search per declared color, each at least a pass over the vertices,
     # so the palette times the vertices is held to the cap on a coloring.
     k, n = coloring.num_colors, coloring.n
     if k * n > MAX_PAIRS:
         raise ResourceCapError(f"{k} colors on {n} vertices exceed the cap of {MAX_PAIRS}")
-    # The search of a deterministic color of a construct file stops at its
-    # Gram bound, t or t - 1, once the file's colors are checked against
-    # the re-sampled vectors; any other file gets the plain search.  A
-    # search over n vertices never reaches a bound above n, so the check
-    # runs only when t - 1 <= n.
-    trusted = named is not None and named[1] - 1 <= n and _products_match(coloring, *named)
     found = False
     if args.csv:
         print("color,size,witness")
     for color in range(1, k + 1):
-        upper = _gram_bound(*named[:2], color) if trusted and color < named[0] else None
-        w = max_monochromatic_clique(coloring, color, cap=args.cap, upper=upper)
+        w = max_monochromatic_clique(coloring, color, cap=args.cap)
         verts = " ".join(str(v) for v in w.vertices)
         if args.csv:
             print(f"{color},{w.size},{verts}")

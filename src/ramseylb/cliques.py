@@ -204,17 +204,17 @@ def _max_clique_mask(adj: list[int], cap: int, upper: int | None = None) -> int:
     return best_mask
 
 
-def max_monochromatic_clique(
-    coloring: EdgeColoring, color: int, cap: int = DEFAULT_NODE_CAP, upper: int | None = None
-) -> CliqueWitness:
+def max_monochromatic_clique(coloring: EdgeColoring, color: int, cap: int = DEFAULT_NODE_CAP) -> CliqueWitness:
     """A maximum clique of the chosen color class, exact and deterministic.
 
     The class's vertices are renamed in smallest-last order by one string
     transpose of its bitsets (see _degeneracy_order and _relabel).
 
-    ``upper``, when given, must bound the class's clique number; the
-    search then stops once it has a clique of that size, and returns the
-    same witness as without it.  A wrong bound gives a wrong answer.
+    A color below q of a coloring that construct drew, as its provenance
+    names it and its products confirm (see EdgeColoring._gram_stop), is
+    searched until it has a clique of its Gram bound, t or t - 1
+    (_gram_bound); the search then returns the same witness as without
+    the stop.  Every other class is searched in full.
 
     For a field coloring of self-orthogonal vectors in F_q^t with
     t != 0 mod q, t bounds every deterministic color i in [1, q-1].  An
@@ -233,11 +233,9 @@ def max_monochromatic_clique(
     exists, and so none larger either.
     """
     _require_node_cap(cap)
-    if upper is not None:
-        _require_ints(upper=upper)
-        if upper < 1:
-            raise ParameterError(f"upper bound {upper} must be positive")
     adj = coloring.color_class_bitsets(color)  # which checks the color
+    stop = coloring._gram_stop
+    upper = _gram_bound(*stop, color) if stop and color < stop[0] else None
     order = _degeneracy_order(adj, coloring.n)
     mask = _max_clique_mask(_relabel(adj, order), cap, upper)
     verts = []
@@ -333,6 +331,18 @@ def clique_gram_det(i: int, s: int, modulus: PrimeModulus) -> int:
         raise ResourceCapError(f"matrix size {s} exceeds the cap {MAX_GRAM_SIZE}")
     mat = [[0 if r == c else i for c in range(s)] for r in range(s)]
     return _eliminate(mat, q)[1]
+
+
+def _gram_bound(q: int, t: int, color: int) -> int:
+    """The clique bound of a deterministic color of a field coloring at
+    (q, t) (see max_monochromatic_clique): t - 1 when q is odd and the
+    determinant of a t-clique's Gram matrix is a nonzero non-square mod q
+    by Euler's criterion; t otherwise."""
+    if q > 2:
+        d = clique_gram_det(color, t, PrimeModulus(q))
+        if d and pow(d, (q - 1) // 2, q) == q - 1:
+            return t - 1
+    return t
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, FormatError, ParameterError, ResourceCapError, _require_ints
+from .errors import CapacityError, FormatError, ParameterError, RamseyLBError, ResourceCapError, _require_ints
 from .field import FieldVector, PrimeModulus, _scalar_products, is_prime
-from .isotropic import IsotropicSet
+from .isotropic import DEFAULT_ENUM_CAP, IsotropicSet, _check_enumeration_cap, _isotropic_coords
 from .rng import _checked, derive_seed, make_rng, pair_coin
 
 FORMAT_MAGIC = "ramsey-coloring 1"
@@ -141,6 +141,18 @@ class EdgeColoring:
             mat[i * n + i + 1 : (i + 1) * n] = row
             mat[(i + 1) * n + i :: n] = row
         return bytes(mat)
+
+    @cached_property
+    def _gram_stop(self) -> tuple[int, int] | None:
+        """(q, t) when the first provenance line names a construct draw
+        (see field_provenance), t - 1 <= n, and the draw's products match
+        every edge of a color below q (see _products_match); else None.
+        A search over n vertices never reaches a Gram bound, t or t - 1,
+        above n, so no products are checked when t - 1 > n."""
+        named = field_provenance(self)
+        if named is None or named[1] - 1 > self.n or not _products_match(self, *named):
+            return None
+        return named[:2]
 
     def color_class_bitsets(self, color: int) -> list[int]:
         """Adjacency of the chosen color class as per-vertex bitmasks.
@@ -321,9 +333,7 @@ def _field_line(q: int, t: int, n: int, seed: int) -> str:
 def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None:
     """(q, t, n, seed) from the provenance line build_field_coloring
     writes, when it is the coloring's first line and the header agrees
-    with it: n vertices, q + 1 colors and t >= 1; otherwise None.  Tying
-    q to the header keeps a primality test of q within the cost of
-    searching the coloring's colors."""
+    with it: n vertices, q + 1 colors and t >= 1; otherwise None."""
     if not coloring.provenance:
         return None
     m = re.fullmatch(rf"field-coloring q={_INT} t={_INT} n={_INT} seed={_INT}", coloring.provenance[0])
@@ -334,6 +344,56 @@ def field_provenance(coloring: EdgeColoring) -> tuple[int, int, int, int] | None
     if n != coloring.n or q + 1 != coloring.num_colors or t < 1:
         return None
     return q, t, n, seed
+
+
+def _construct_sample(
+    q: int, t: int, n: int, seed: int, cap: int
+) -> tuple[ConstructionParams, list[tuple[int, ...]]]:
+    """The parameters of ``construct`` and the coordinate tuples of its
+    vertices: n distinct ground-set vectors of F_q^t, sampled under the seed.
+
+    The positions are drawn from range(|V|): random.sample reads only the
+    length of its population and the items at the positions it draws, so
+    these are the coordinates of the vectors sample_distinct draws from
+    the enumerated ground set; no vector is built.
+    """
+    _check_pairs(n)
+    _check_enumeration_cap(q, t, cap)
+    modulus = PrimeModulus(q)
+    if n < 0:
+        raise ParameterError("sample size must be non-negative")
+    ground = list(_isotropic_coords(q, t))
+    if n > len(ground):
+        raise CapacityError(f"requested {n} distinct vectors from a set of {len(ground)}")
+    picks = make_rng(derive_seed(seed, "construct-sample")).sample(range(len(ground)), n)
+    return ConstructionParams(modulus, t, seed, n), [ground[i] for i in picks]
+
+
+def _products_match(coloring: EdgeColoring, q: int, t: int, n: int, seed: int) -> bool:
+    """Whether every edge of a color c in [1, q-1] joins two of the
+    vectors ``construct`` samples for (q, t, n, seed) whose product is c.
+
+    Then each such color class holds only cliques of vectors with
+    pairwise product c, and _gram_bound bounds their size (see
+    max_monochromatic_clique).  A request ``construct`` refuses means no.
+    """
+    try:
+        _, coords = _construct_sample(q, t, n, seed, DEFAULT_ENUM_CAP)
+    except RamseyLBError:
+        return False
+    products = list(_scalar_products(coords, q))
+    if isinstance(products[0], bytes):
+        # One byte per product, so q <= 16 and every color fits a byte: the
+        # colors and the products must agree under a mask over [1, q - 1].
+        colors = b"".join(coloring.rows)
+        mask = colors.translate(bytes(1) + b"\xff" * (q - 1) + bytes(256 - q))
+        diff = int.from_bytes(colors, "little") ^ int.from_bytes(b"".join(products), "little")
+        return not diff & int.from_bytes(mask, "little")
+    # Each distinct (color, product) pair of the edges is checked once.
+    seen = set()
+    for row, prods in zip(coloring.rows, products):
+        seen.update(zip(row, prods))
+    return all(c >= q or c == d for c, d in seen)
 
 
 # The longest vector build_two_color draws, 2t coordinates; a longer one

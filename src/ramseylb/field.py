@@ -12,21 +12,42 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import DimensionError, FormatError, ParameterError, _require_ints
+from .errors import DimensionError, FormatError, ParameterError, ResourceCapError, _require_ints
+
+# The primes up to 41.  The strong probable-prime test to all of them as
+# bases is exact below MAX_PRIME_TEST, psi_13 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017);
+# is_prime raises ResourceCapError for an n at or above it that none of
+# them divides.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_TEST = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Trial division, adequate for desk-scale moduli."""
+    """Whether n is prime: trial division by _BASES, then Miller-Rabin to
+    each of them, at most 13 modular powers of n - 1."""
     _require_ints(n=n)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MAX_PRIME_TEST:
+        raise ResourceCapError(f"{n} is past the primality test's cap {MAX_PRIME_TEST}")
+    # n - 1 = d 2^s with d odd
+    m = n - 1
+    s = (m & -m).bit_length() - 1
+    d = m >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -43,11 +64,14 @@ class PrimeModulus:
 
 
 def _text_modulus(q: int) -> PrimeModulus:
-    """The modulus a vector line names; a composite q is a FormatError."""
+    """The modulus a vector line names; a composite q, or one past
+    MAX_PRIME_TEST, is a FormatError."""
     try:
         return PrimeModulus(q)
     except ParameterError as exc:
         raise FormatError(f"vector line has non-prime modulus {q}") from exc
+    except ResourceCapError as exc:
+        raise FormatError(f"vector line has modulus {q} past the primality test's cap") from exc
 
 
 @dataclass(frozen=True)

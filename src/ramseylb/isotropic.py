@@ -47,8 +47,8 @@ class IsotropicSet:
 
 def _check_enumeration_cap(q: int, t: int, cap: int = DEFAULT_ENUM_CAP) -> None:
     """Raise ResourceCapError when F_q^t has more than cap vectors.  Callers
-    run this before q's primality test, whose trial division takes time
-    growing as sqrt(q), and leave a q below 2 to PrimeModulus.  q^t >= 2^t
+    run this before q's primality test, so a request past the cap is a
+    cap error whatever q is, and leave a q below 2 to PrimeModulus.  q^t >= 2^t
     is over the cap once t passes the cap's bit length; the power is then
     not computed, and no message writes it out."""
     _require_ints(q=q, t=t, cap=cap)

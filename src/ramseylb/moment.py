@@ -603,8 +603,9 @@ _HEADER = re.compile(
 def certificate_from_text(text: str) -> WitnessCertificate:
     """The certificate in the one spelling certificate_to_text writes: it
     must render back to the text, coloring block included.  Before any
-    vector is parsed, q + 1 colors and as many sizes, and every vector
-    line starting "q t ", make the file pay in length for q's primality test."""
+    vector is parsed and q is tested for primality, the header must
+    declare q + 1 colors and as many sizes, and every vector line must
+    start "q t "."""
     if not isinstance(text, str):
         raise FormatError(f"certificate text must be a str, not {type(text).__name__}")
     m = _HEADER.match(text)

@@ -99,6 +99,13 @@ def test_floor_power_product_values():
     assert floor_power_product([(3, Fraction(2)), (2, Fraction(-3, 2))]) == 3  # floor 9/2.83
 
 
+@pytest.mark.parametrize("base", [2.5, True, 2.0, Fraction(2), "2", None])
+def test_floor_power_product_refuses_a_base_that_is_not_an_int(base):
+    # int(b) once read 2.5 as 2 and True as 1
+    with pytest.raises(ParameterError, match="must be an int"):
+        floor_power_product([(base, Fraction(1))])
+
+
 def test_floor_power_product_refuses_a_power_over_the_cap_before_forming_it():
     cap = MAX_RADICAND_BITS
     assert floor_power_product([(2, Fraction(cap))]) == 2**cap

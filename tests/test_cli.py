@@ -10,19 +10,22 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ramseylb import bounds as bounds_mod, cli, field
+from ramseylb import bounds as bounds_mod, cli, coloring as coloring_mod, field
 from ramseylb.cli import DEFAULT_SEED, dispatch
 from ramseylb.cliques import max_monochromatic_clique
 from ramseylb.coloring import (
     ConstructionParams,
     EdgeColoring,
     _check_pairs,
+    _construct_sample,
+    _products_match,
     build_field_coloring,
     build_paley,
     field_provenance,
@@ -425,11 +428,14 @@ def test_usage_errors_go_to_the_current_stderr(capsys):
 
 
 def verify_by_plain_search(col, target):
-    """verify's rc and stdout when no color search stops early."""
+    """verify's rc and stdout when no color search stops early: the
+    searches run on the coloring with its provenance dropped, which names
+    no construct draw."""
+    plain = replace(col, provenance=())
     lines = []
     found = False
     for c in range(1, col.num_colors + 1):
-        w = max_monochromatic_clique(col, c)
+        w = max_monochromatic_clique(plain, c)
         lines.append(f"color {c}: max clique {w.size}, witness {' '.join(map(str, w.vertices))}")
         found |= w.size >= target
     lines.append(f"monochromatic clique of size >= {target}: {'found' if found else 'none'}")
@@ -452,18 +458,19 @@ def assert_verify_is_plain_search(path, col, capsys):
 
 def test_verify_checks_the_gram_bound_once_per_run(tmp_path, monkeypatch, capsys):
     calls = []
-    real = cli._products_match
+    real = _products_match
 
     def spy(coloring, *run_args):
         calls.append(run_args)
         return real(coloring, *run_args)
 
-    monkeypatch.setattr(cli, "_products_match", spy)
+    monkeypatch.setattr(coloring_mod, "_products_match", spy)
     # Colors 1 and 2 of (3,4,33) reach t = 4; colors 1-4 of (5,4,145) reach
     # t - 1 = 3, as 1 * 3 * (-1)^3 = 2 is not a square mod 5.  Colors 1 and
     # 2 of (3,4,8) stop at 2, below their bound 4, and are checked all the
-    # same: trust is decided once per file, before the first search.
-    # assert_verify_is_plain_search runs verify twice.
+    # same: trust is decided once per coloring object, at its first search.
+    # assert_verify_is_plain_search runs verify twice, each on a coloring
+    # of its own, and its reference names no construct draw.
     for args in [(3, 4, 33, 1), (2, 7, 60, 1), (5, 4, 145, 1), (3, 4, 8, 1)]:
         col = construct_file(tmp_path, *args)
         calls.clear()
@@ -477,7 +484,7 @@ def test_verify_checks_trust_only_where_a_search_can_reach_a_gram_bound(tmp_path
     reach a bound above n, so no products are checked when n < t - 1.
     At (2,19,2) that check alone listed 2^18 tuples."""
     calls = []
-    monkeypatch.setattr(cli, "_products_match", lambda coloring, *args: calls.append(args) or False)
+    monkeypatch.setattr(coloring_mod, "_products_match", lambda coloring, *args: calls.append(args) or False)
     four = tmp_path / "four.txt"
     four.write_text("ramsey-coloring 1\nn=2 colors=3\n# field-coloring q=2 t=19 n=2 seed=1\n1\n")
     capsys.readouterr()
@@ -556,16 +563,16 @@ def test_verify_falls_back_to_plain_search_when_the_bound_is_not_trusted(tmp_pat
     assert verify_by_plain_search(cases["grown"], 9)[1].startswith("color 1: max clique 5")
     assert verify_by_plain_search(cases["sharpened-one-edge"], 9)[1].startswith("color 1: max clique 4")
     assert "color 2: max clique 4" in verify_by_plain_search(cases["t-zero-mod-q-sampled"], 9)[1]
-    assert cli._products_match(col, *field_provenance(col))
+    assert _products_match(col, *field_provenance(col))
     # Only colors below q are checked against the products: a coin color
     # on an edge of nonzero product leaves t a bound on colors 1 and 2.
     coin = [list(r) for r in col.rows]
     coin[0][coin[0].index(1)] = 3
-    assert cli._products_match(rewrite(col, rows=coin), *field_provenance(col))
+    assert _products_match(rewrite(col, rows=coin), *field_provenance(col))
     for name, edited in cases.items():
         # Either the file names no construct run, or the check rejects it.
         named = field_provenance(edited)
-        assert named is None or not cli._products_match(edited, *named), name
+        assert named is None or not _products_match(edited, *named), name
         path = tmp_path / f"{name}.txt"
         path.write_text(edited.to_text())
         assert_verify_is_plain_search(path, edited, capsys)
@@ -602,7 +609,7 @@ def test_trust_check_agrees_with_the_per_pair_rule():
             params, verts = reference_sample(q, t, n, seed)
             col = build_field_coloring(params, verts)
             named = field_provenance(col)
-            assert cli._products_match(col, *named) and per_pair_products_match(col, *named)
+            assert _products_match(col, *named) and per_pair_products_match(col, *named)
             pairs = [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
             for _ in range(20):
                 rows = [list(r) for r in col.rows]
@@ -614,13 +621,13 @@ def test_trust_check_agrees_with_the_per_pair_rule():
                     i, j = rng.choice(pairs)
                     rows[i][j - i - 1] = rng.randint(1, q + 1)
                 edited = rewrite(col, rows=rows)
-                assert cli._products_match(edited, *named) == per_pair_products_match(edited, *named)
+                assert _products_match(edited, *named) == per_pair_products_match(edited, *named)
             # a deterministic color off its product, on the last pair that can take one
             i, j = next((i, j) for i, j in reversed(pairs) if q > 2 or dot(verts[i], verts[j]) == 0)
             rows = [list(r) for r in col.rows]
             rows[i][j - i - 1] = 2 if dot(verts[i], verts[j]) == 1 else 1
             edited = rewrite(col, rows=rows)
-            assert not cli._products_match(edited, *named)
+            assert not _products_match(edited, *named)
             assert not per_pair_products_match(edited, *named)
 
 
@@ -673,7 +680,7 @@ def test_trust_check_by_position_agrees_with_the_enumerated_sample():
         cases.append((q, t, rng.randint(1, min(size + 2, 40)), rng.randrange(2**64)))
 
     def construct_sample(q, t, n, seed):
-        params, coords = cli._construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
+        params, coords = _construct_sample(q, t, n, seed, cli.DEFAULT_ENUM_CAP)
         return params, [FieldVector(params.modulus, c) for c in coords]
 
     # construct's draw is sample_distinct's over the enumerated ground set,
@@ -690,17 +697,17 @@ def test_trust_check_by_position_agrees_with_the_enumerated_sample():
             col = positional_coloring(q, t, n, seed) if (q, t, n, seed) in drawable else \
                 EdgeColoring(n, q + 1, tuple((q + 1,) * (n - 1 - i) for i in range(n - 1)))
             assert not reference_products_match(col, q, t, n, seed)
-            assert not cli._products_match(col, q, t, n, seed), (q, t, n, seed)
+            assert not _products_match(col, q, t, n, seed), (q, t, n, seed)
             continue
         col = build_field_coloring(params, verts)
-        assert cli._products_match(col, q, t, n, seed), (q, t, n, seed)
+        assert _products_match(col, q, t, n, seed), (q, t, n, seed)
         matched += 1
         for _ in range(5):
             rows = [list(r) for r in col.rows]
             i = rng.randrange(n - 1)
             rows[i][rng.randrange(n - 1 - i)] = rng.randint(1, q + 1)
             edited = rewrite(col, rows=rows)
-            assert cli._products_match(edited, q, t, n, seed) == reference_products_match(edited, q, t, n, seed)
+            assert _products_match(edited, q, t, n, seed) == reference_products_match(edited, q, t, n, seed)
     assert raised >= 9 and matched >= 20
 
 
@@ -709,7 +716,7 @@ def test_verify_finishes_under_a_cap_the_plain_search_exceeds(tmp_path, capsys):
     # Colors 2 and 3 take about 5,000 nodes, color 1 stops at t after 11
     # and runs to about 900,000 without the stop.
     with pytest.raises(ResourceCapError):
-        max_monochromatic_clique(col, 1, cap=10_000)
+        max_monochromatic_clique(replace(col, provenance=()), 1, cap=10_000)
     capsys.readouterr()
     path = tmp_path / "c-2-11-400-1.txt"
     assert run("verify", "--coloring", str(path), "--target", "12", "--cap", "10000") == 0
@@ -856,3 +863,54 @@ def test_importing_the_cli_loads_no_multiprocessing():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def cli_transcript_digest(tmp):
+    """SHA-256 over argv, exit status, stdout, stderr and every written
+    file of a fixed set of dispatch calls run in the directory tmp, whose
+    path is spelled TMP in the digest.
+
+    construct, then verify plain, with --csv and with --cap 50, at nine
+    (q, t, n) and seeds 1-3; certify at (3,4,14), seeds 1-10, then verify
+    and reverify of each certificate; verify of a 4-line file that names
+    a construct run at (2,19,2); and a few bounds tables."""
+    digest = hashlib.sha256()
+
+    def call(*argv):
+        argv = [str(a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = dispatch(argv)
+        record = [" ".join(argv), str(rc), out.getvalue(), err.getvalue()]
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            record.append(path.read_text(encoding="ascii") if path.exists() else "<no file>")
+        digest.update("\x1e".join(record).replace(str(tmp), "TMP").encode() + b"\x1d")
+
+    for q, t, n in ((3, 4, 33), (5, 4, 145), (2, 9, 200), (11, 3, 40), (257, 2, 30), (3, 4, 8),
+                    (2, 7, 60), (7, 3, 30), (3, 5, 60)):
+        for seed in (1, 2, 3):
+            path = tmp / f"c-{q}-{t}-{n}-{seed}.txt"
+            call("construct", "--q", q, "--t", t, "--n", n, "--seed", seed, "--out", path)
+            call("verify", "--coloring", path, "--target", t)
+            call("verify", "--coloring", path, "--target", t, "--csv")
+            call("verify", "--coloring", path, "--target", t, "--cap", 50)
+    for seed in range(1, 11):
+        cert = tmp / f"w-{seed}.cert"
+        call("certify", "--q", 3, "--t", 4, "--n", 14, "--seed", seed, "--out", cert)
+        call("verify", "--coloring", cert, "--target", 4)
+        call("reverify", "--cert", cert)
+    four = tmp / "four.txt"
+    four.write_text("ramsey-coloring 1\nn=2 colors=3\n# field-coloring q=2 t=19 n=2 seed=1\n1\n")
+    call("verify", "--coloring", four, "--target", 2)
+    for argv in (("--t", 16, "--colors", 4), ("--t", 8, "--colors", 6, "--csv"),
+                 ("--t", 10, "--colors", 12, "--slack", "1/3"), ("--t", 5, "--colors", 2)):
+        call("bounds", *argv)
+    return digest.hexdigest()
+
+
+def test_cli_bytes_are_pinned(tmp_path):
+    """Every byte the calls of cli_transcript_digest print or write, as
+    the commit before the Gram stop moved into max_monochromatic_clique
+    printed and wrote them."""
+    assert cli_transcript_digest(tmp_path) == "a796ec8e29736c60f08ecdf11667f8d3f904d95212b7a8a6dedd1929384bd9bb"

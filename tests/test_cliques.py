@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from ramseylb import moment
+from ramseylb import cliques, coloring, moment
 from ramseylb.bounds import integer_root
-from ramseylb.cli import _construct_sample, _gram_bound
 from ramseylb.cliques import (
     DEFAULT_NODE_CAP,
     MAX_GRAM_SIZE,
     PotentialClique,
     _degeneracy_order,
+    _gram_bound,
     _has_clique,
     _k_cliques,
     _max_clique_mask,
@@ -27,7 +28,14 @@ from ramseylb.cliques import (
     max_monochromatic_clique,
     rank_count_bound,
 )
-from ramseylb.coloring import ConstructionParams, EdgeColoring, build_field_coloring, build_paley
+from ramseylb.coloring import (
+    ConstructionParams,
+    EdgeColoring,
+    _construct_sample,
+    build_field_coloring,
+    build_paley,
+    build_two_color,
+)
 from ramseylb.compose import blowup_product
 from ramseylb.errors import ParameterError, ResourceCapError
 from ramseylb.field import FieldVector, PrimeModulus, dot, is_prime, rank
@@ -830,14 +838,23 @@ def construct_coloring(q, t, n, seed):
 
 
 def test_search_stopped_at_t_returns_the_full_search_witness():
+    """A construct coloring stops each color below q at its Gram bound and
+    returns the witness of the same coloring with its provenance dropped,
+    which the full search finds.  Where that bound is t - 1, the looser
+    stop at t returns the full search's clique too."""
     reached = sharpened = 0
     for q, t, n, seed in [(3, 4, 33, 1), (3, 4, 33, 271828), (2, 7, 60, 1), (3, 5, 60, 2),
                           (5, 4, 145, 1), (7, 3, 30, 4), (11, 3, 40, 3), (2, 9, 200, 1)]:
         col = construct_coloring(q, t, n, seed)
+        plain = replace(col, provenance=())
+        assert col._gram_stop == (q, t) and plain._gram_stop is None
         for c in range(1, q):
-            w = max_monochromatic_clique(col, c, upper=t)
-            assert w == max_monochromatic_clique(col, c)
-            assert w == max_monochromatic_clique(col, c, upper=_gram_bound(q, t, c))
+            w = max_monochromatic_clique(col, c)
+            assert w == max_monochromatic_clique(plain, c)
+            if _gram_bound(q, t, c) == t - 1:
+                adj = col.color_class_bitsets(c)
+                adj = _relabel(adj, _degeneracy_order(adj, n))
+                assert _max_clique_mask(adj, DEFAULT_NODE_CAP, t) == _max_clique_mask(adj, DEFAULT_NODE_CAP)
             reached += w.size == t
             sharpened += w.size == _gram_bound(q, t, c) == t - 1
     assert reached >= 8 and sharpened >= 8
@@ -847,7 +864,7 @@ def test_stopped_search_fits_under_a_cap_the_full_search_exceeds():
     col = construct_coloring(2, 9, 200, 1)
     for cap in range(1, 100):
         try:
-            w = max_monochromatic_clique(col, 1, cap=cap, upper=9)
+            w = max_monochromatic_clique(col, 1, cap=cap)
             break
         except ResourceCapError:
             pass
@@ -855,12 +872,67 @@ def test_stopped_search_fits_under_a_cap_the_full_search_exceeds():
         pytest.fail("the search stopped at t = 9 needs 100 nodes or more")
     assert w.size == 9
     with pytest.raises(ResourceCapError):
-        max_monochromatic_clique(col, 1, cap=cap)
+        max_monochromatic_clique(replace(col, provenance=()), 1, cap=cap)
 
 
-def test_search_upper_bound_validated():
-    with pytest.raises(ParameterError):
-        max_monochromatic_clique(build_paley(5), 1, upper=0)
+def test_library_search_of_a_construct_coloring_stops_at_its_gram_bound():
+    """The stop is the library's, not the command's: under a cap of 100
+    the construct coloring of (2,9,200), seed 1, gives color 1's 9-clique,
+    and the same rows without their provenance exceed the cap."""
+    col = construct_coloring(2, 9, 200, 1)
+    w = max_monochromatic_clique(col, 1, cap=100)
+    assert w.size == 9
+    with pytest.raises(ResourceCapError):
+        max_monochromatic_clique(replace(col, provenance=()), 1, cap=100)
+
+
+def test_products_are_checked_once_per_coloring(monkeypatch):
+    """One trust check serves every search of a coloring object, over all
+    q + 1 colors; an equal coloring read back from its text is checked again."""
+    calls = []
+    real = coloring._products_match
+    monkeypatch.setattr(coloring, "_products_match", lambda col, *args: calls.append(args) or real(col, *args))
+    col = construct_coloring(5, 4, 145, 1)
+    for c in range(1, 7):
+        max_monochromatic_clique(col, c)
+    assert calls == [(5, 4, 145, 1)]
+    again = EdgeColoring.from_text(col.to_text())
+    for c in (6, 1):
+        max_monochromatic_clique(again, c)
+    assert calls == [(5, 4, 145, 1)] * 2
+
+
+def test_colorings_construct_did_not_draw_are_searched_in_full(monkeypatch):
+    """No stop on a certificate's coloring (certify's draw is not
+    construct's), an induced one, a blow-up product, a two-color or
+    Paley coloring, or a construct coloring with one deterministic edge
+    recolored: every search runs without a bound, and its witness is
+    the one found on the same rows with no provenance."""
+    uppers = []
+    real = cliques._max_clique_mask
+    monkeypatch.setattr(cliques, "_max_clique_mask", lambda adj, cap, upper=None: uppers.append(upper) or real(adj, cap))
+    col = construct_coloring(3, 4, 33, 1)
+    rows = [list(r) for r in col.rows]
+    rows[0][rows[0].index(1)] = 2
+    cert = moment.find_witness(3, 4, 14, 200, 1)
+    assert isinstance(cert, moment.WitnessCertificate)
+    cases = {
+        "certificate": cert.coloring,
+        "induced": col.induced(range(20)),
+        "blowup": blowup_product(build_paley(5), col.induced(range(6))),
+        "two-color": build_two_color(4, 30, 1),
+        "paley": build_paley(13),
+        "recolored": EdgeColoring(col.n, col.num_colors, tuple(map(bytes, rows)), col.provenance),
+    }
+    assert cert.coloring.provenance[0].startswith("field-coloring q=3 t=4 n=14 seed=")
+    for name, other in cases.items():
+        assert other._gram_stop is None, name
+        plain = replace(other, provenance=())
+        for c in range(1, other.num_colors + 1):
+            assert max_monochromatic_clique(other, c) == max_monochromatic_clique(plain, c), (name, c)
+    assert uppers and set(uppers) == {None}
+    max_monochromatic_clique(col, 1)
+    assert uppers[-1] == 4
 
 
 _PALEY_5 = build_paley(5)
@@ -892,8 +964,6 @@ def _within_a_second(call):
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4.0),
     lambda: _PALEY_5.color_class_bitsets(True),
     lambda: max_monochromatic_clique(_PALEY_13, 1, cap=1e7),
-    lambda: max_monochromatic_clique(_PALEY_13, 1, upper=2.5),
-    lambda: max_monochromatic_clique(_PALEY_13, 1, upper=True),
     lambda: max_monochromatic_clique(_PALEY_13, 1, cap=None),
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=1e7),
     lambda: enumerate_potential_cliques(enumerate_isotropic(PrimeModulus(3), 4), 4, cap=None),
@@ -901,14 +971,13 @@ def _within_a_second(call):
     lambda: is_prime(float("nan")),
     lambda: _within_a_second(lambda: is_prime(float("inf"))),
 ], ids=["root-n", "root-k", "rank-count-t", "gram-det-s", "max-clique-color", "induced-index",
-        "potential-t", "bitsets-color", "max-clique-cap-float", "max-clique-upper-fraction",
-        "max-clique-upper-bool", "max-clique-cap-none", "potential-cap-float", "potential-cap-none",
+        "potential-t", "bitsets-color", "max-clique-cap-float", "max-clique-cap-none", "potential-cap-float", "potential-cap-none",
         "prime-float", "prime-nan", "prime-inf"])
 def test_an_argument_that_is_not_an_int_is_a_parameter_error(call):
     """These used to escape as AttributeError or TypeError, or to return:
     4.0 for a root, 177147.0 for a count, 1008 cliques for t = 4.0 or for
-    a cap of 1e7, color 1's class for True, a witness for a cap of 1e7 or
-    an upper bound of 2.5 or True, and True for is_prime(2.0) and for a
-    NaN.  is_prime of an infinity never returned."""
+    a cap of 1e7, color 1's class for True, a witness for a cap of 1e7,
+    and True for is_prime(2.0) and for a NaN.  is_prime of an infinity
+    never returned."""
     with pytest.raises(ParameterError, match="must be an int"):
         call()

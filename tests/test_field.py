@@ -1,17 +1,21 @@
 import itertools
 import pickle
 import random
+import signal
 from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import GF, Matrix
+from sympy import GF, Matrix, isprime
 from sympy.polys.matrices import DomainMatrix
 
-from ramseylb import field as field_module
-from ramseylb.errors import DimensionError, FormatError, ParameterError
+from ramseylb import field as field_module, moment
+from ramseylb.bounds import field_bound
+from ramseylb.cliques import rank_count_bound
+from ramseylb.errors import DimensionError, FormatError, ParameterError, RamseyLBError, ResourceCapError
 from ramseylb.field import (
+    MAX_PRIME_TEST,
     FieldVector,
     PrimeModulus,
     _eliminate,
@@ -49,6 +53,83 @@ def test_is_prime_small_range():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(50):
         assert is_prime(n) == (n in primes)
+
+
+def test_is_prime_agrees_with_sympy_up_to_ten_to_the_five():
+    assert [n for n in range(10**5 + 1) if is_prime(n)] == [n for n in range(10**5 + 1) if isprime(n)]
+
+
+# psi_k, the least strong pseudoprime to every one of the first k prime
+# bases, for k = 1, ..., 7, 9 and 12 (Sorenson and Webster, Math. Comp.
+# 2017, table 1); psi_12 passes bases 2 to 37 and only 41 exposes it.
+PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_refuses_carmichael_numbers_and_strong_pseudoprimes():
+    # Chernick's (6k + 1)(12k + 1)(18k + 1) is a Carmichael number when
+    # all three factors are prime.
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 2000)
+                if isprime(6 * k + 1) and isprime(12 * k + 1) and isprime(18 * k + 1)]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+                  52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461]
+    assert len(chernick) > 30 and max(chernick) > 10**12
+    for n in carmichael + chernick + PSI:
+        assert not isprime(n) and not is_prime(n), n
+    psi12 = PSI[-1]
+    assert psi12 == 318_665_857_834_031_151_167_461
+    d, s = psi12 - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    strong = [a for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+              if pow(a, d, psi12) == 1 or any(pow(a, d << r, psi12) == psi12 - 1 for r in range(s))]
+    assert strong == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_is_prime_agrees_with_sympy_below_its_cap():
+    rng = random.Random(34)
+    for bits in range(12, MAX_PRIME_TEST.bit_length() + 1):
+        for _ in range(40):
+            n = rng.randrange(2 ** (bits - 1), min(2**bits, MAX_PRIME_TEST)) | 1
+            assert is_prime(n) == isprime(n), n
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, MAX_PRIME_TEST - 2):
+        assert is_prime(n) == isprime(n), n
+
+
+def _within_a_second(call):
+    """call() under a one-second alarm, so a call that never returns
+    fails with TimeoutError instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("no answer within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_is_prime_answers_within_a_second_or_raises_past_its_cap():
+    """Trial division once took past 3 s at 2^61 - 1 and never ended at
+    2^89 - 1.  Past MAX_PRIME_TEST an n with no factor up to 41 is a cap
+    error, and the text parser reads that as a format error."""
+    assert _within_a_second(lambda: PrimeModulus(2**61 - 1)).q == 2**61 - 1
+    big = 2**89 - 1
+    assert big > MAX_PRIME_TEST
+    for call in (lambda: PrimeModulus(big), lambda: field_bound(8, big),
+                 lambda: rank_count_bound(big, 4, 2), lambda: moment.recommended_n(big, 4)):
+        with pytest.raises(RamseyLBError):
+            _within_a_second(call)
+    with pytest.raises(ResourceCapError):
+        is_prime(big)
+    with pytest.raises(ResourceCapError):
+        is_prime(MAX_PRIME_TEST)
+    # a factor up to 41 still answers past the cap
+    assert not is_prime(41 * big) and not is_prime(2**100)
+    with pytest.raises(FormatError):
+        FieldVector.from_text(f"{big} 2 1 1")
 
 
 # ---------------------------------------------------------------------------

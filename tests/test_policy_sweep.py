@@ -14,8 +14,6 @@ rule of that argument's kind:
 - RATIONAL (a probability or a slack): a number out of range raises
   ParameterError, or ResourceCapError past a cap; a non-number may also
   raise TypeError.
-- INT_OR_NONE (max_monochromatic_clique's upper): None is answered,
-  anything else is held to the INT rule.
 - OBJECT (a modulus, ground set, coloring, vector, certificate, random
   generator, label, factor list, or a field of a result record): not
   checked; a wrong class raises what Python raises on it, TypeError,
@@ -38,9 +36,8 @@ from pathlib import Path
 import ramseylb as r
 
 INT, SEED, CAP, TEXT, RATIONAL, OBJECT = "int", "seed", "cap", "text", "rational", "object"
-INT_OR_NONE = "int or None"
 
-BAD_VALUES = [2.0, True, "3", None, -1, 0, b"x", Fraction(1, 2), math.nan, math.inf, 10**40, [], ()]
+BAD_VALUES = [2.0, True, "3", None, -1, 0, b"x", Fraction(1, 2), math.nan, math.inf, 10**40, 2**89 - 1, [], ()]
 
 # The child's limits: address space and the timer of one call.
 MEMORY_LIMIT = 1 << 30
@@ -74,7 +71,7 @@ def _table():
         ("enumerate_potential_cliques", r.enumerate_potential_cliques,
          [("ground", ground, OBJECT), ("t", 2, INT), ("cap", 1000, CAP)]),
         ("max_monochromatic_clique", r.max_monochromatic_clique,
-         [("coloring", paley, OBJECT), ("color", 1, INT), ("cap", 1000, CAP), ("upper", 2, INT_OR_NONE)]),
+         [("coloring", paley, OBJECT), ("color", 1, INT), ("cap", 1000, CAP)]),
         ("rank_count_bound", r.rank_count_bound, [("q", 3, INT), ("t", 4, INT), ("r", 2, INT)]),
         ("ConstructionParams", r.ConstructionParams,
          [("modulus", m2, OBJECT), ("t", 3, INT), ("seed", 1, SEED), ("n", 2, INT)]),
@@ -168,10 +165,6 @@ def _verdict(outcome: dict) -> str | None:
     """Why an outcome breaks its kind's rule, or None when it keeps it."""
     bad = BAD_VALUES[outcome["value"]]
     raised, kind = outcome["raised"], outcome["kind"]
-    if kind == INT_OR_NONE:
-        if bad is None:
-            return None if raised is None else f"raised {raised[0]}"
-        kind = INT
     is_int = type(bad) is int
     is_number = isinstance(bad, (int, float, Fraction))
     if raised is None:
